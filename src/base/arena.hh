@@ -41,10 +41,23 @@
 #include <utility>
 #include <vector>
 
+#include <sys/mman.h>
+
 namespace smtavf
 {
 
-/** Bump-pointer slab arena. Allocation only; frees all slabs at once. */
+/**
+ * Bump-pointer slab arena. Allocation only; returns all slabs at once.
+ *
+ * Slabs are mapped outside malloc's heap and recycled through a small
+ * per-thread cache. Heap slabs would pin memory: once glibc has seen a
+ * large block freed it raises its mmap threshold, the next slab lands
+ * in the heap, and small long-lived allocations (kept campaign results)
+ * then carve up the freed hole, so a campaign's RSS grew with every
+ * run. A private mapping goes back to the kernel whole, and the cache
+ * (at most kCacheBytes per thread) hands the next Simulator built on
+ * the same worker its predecessor's already-faulted slab instead.
+ */
 class Arena
 {
   public:
@@ -52,13 +65,14 @@ class Arena
     explicit Arena(std::size_t first_slab_bytes = std::size_t{1} << 20)
         : nextSlabBytes_(first_slab_bytes)
     {
-        slabs_.reserve(8);
     }
 
     ~Arena()
     {
-        for (void *s : slabs_)
-            ::operator delete(s, std::align_val_t{kSlabAlign});
+        while (Slab *s = head_) {
+            head_ = s->next;
+            tCache_.give(s);
+        }
     }
 
     Arena(const Arena &) = delete;
@@ -76,15 +90,8 @@ class Arena
             aligned = (p + align - 1) & ~(std::uintptr_t{align} - 1);
         }
         cur_ = reinterpret_cast<char *>(aligned + bytes);
-        used_ += bytes;
         return reinterpret_cast<void *>(aligned);
     }
-
-    /** Slabs allocated so far (the arena's own heap footprint). */
-    std::size_t slabCount() const { return slabs_.size(); }
-
-    /** Bytes handed out (excluding alignment padding). */
-    std::size_t bytesUsed() const { return used_; }
 
     /** The thread's current construction arena (null outside a scope). */
     static Arena *current() { return tCurrent_; }
@@ -92,28 +99,90 @@ class Arena
     static void setCurrent(Arena *a) { tCurrent_ = a; }
 
   private:
-    static constexpr std::size_t kSlabAlign = 64;
+    /** Header at the start of every mapping; payload follows. */
+    struct alignas(64) Slab
+    {
+        Slab *next;
+        std::size_t bytes; ///< whole mapping, header included
+    };
+
+    /** Freed slabs of one thread, newest first, kCacheBytes at most. */
+    class SlabCache
+    {
+      public:
+        SlabCache() : head_(nullptr), cached_(0) {}
+
+        ~SlabCache()
+        {
+            while (Slab *s = head_) {
+                head_ = s->next;
+                ::munmap(s, s->bytes);
+            }
+        }
+
+        /** A cached slab of at least @p bytes, else a fresh mapping. */
+        Slab *
+        take(std::size_t bytes)
+        {
+            for (Slab **link = &head_; *link; link = &(*link)->next) {
+                if ((*link)->bytes >= bytes) {
+                    Slab *s = *link;
+                    *link = s->next;
+                    cached_ -= s->bytes;
+                    return s;
+                }
+            }
+            void *m = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+            if (m == MAP_FAILED)
+                throw std::bad_alloc();
+            Slab *s = static_cast<Slab *>(m);
+            s->bytes = bytes;
+            return s;
+        }
+
+        void
+        give(Slab *s)
+        {
+            if (cached_ + s->bytes > kCacheBytes) {
+                ::munmap(s, s->bytes);
+                return;
+            }
+            s->next = head_;
+            head_ = s;
+            cached_ += s->bytes;
+        }
+
+      private:
+        Slab *head_;
+        std::size_t cached_;
+    };
+
+    static constexpr std::size_t kCacheBytes = std::size_t{16} << 20;
+    static constexpr std::size_t kPageBytes = 4096;
 
     void
     grow(std::size_t at_least)
     {
         std::size_t size = nextSlabBytes_;
-        if (size < at_least)
-            size = at_least;
+        if (size < at_least + sizeof(Slab))
+            size = at_least + sizeof(Slab);
+        size = (size + kPageBytes - 1) & ~(kPageBytes - 1);
         nextSlabBytes_ *= 2;
-        void *s = ::operator new(size, std::align_val_t{kSlabAlign});
-        slabs_.push_back(s);
-        cur_ = static_cast<char *>(s);
-        end_ = cur_ + size;
+        Slab *s = tCache_.take(size);
+        s->next = head_;
+        head_ = s;
+        cur_ = reinterpret_cast<char *>(s + 1);
+        end_ = reinterpret_cast<char *>(s) + s->bytes;
     }
 
-    std::vector<void *> slabs_;
+    Slab *head_ = nullptr;
     char *cur_ = nullptr;
     char *end_ = nullptr;
     std::size_t nextSlabBytes_;
-    std::size_t used_ = 0;
 
     static inline thread_local Arena *tCurrent_ = nullptr;
+    static inline thread_local SlabCache tCache_;
 };
 
 /**
