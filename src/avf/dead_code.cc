@@ -1,5 +1,8 @@
 #include "avf/dead_code.hh"
 
+#include <utility>
+
+#include "avf/injection.hh"
 #include "base/logging.hh"
 
 namespace smtavf
@@ -12,83 +15,83 @@ DeadCodeAnalyzer::DeadCodeAnalyzer(unsigned num_threads, AvfLedger &ledger,
 }
 
 void
-DeadCodeAnalyzer::resolve(const InstPtr &in, bool dead)
+DeadCodeAnalyzer::forward(ThreadId tid, SmallVec<PendingInterval, 6> &pending,
+                          bool ace)
 {
-    bool ace = !dead && !in->neverAce();
-    in->destDead = dead;
-    for (const auto &iv : in->pending)
-        ledger_.addInterval(iv.structure, in->tid, iv.bitCount, iv.start,
-                            iv.end, ace);
-    in->pending.clear();
-    if (in->writesReg() && !in->neverAce()) {
+    for (const auto &iv : pending)
+        ledger_.addInterval(iv.structure, tid, iv.bitCount, iv.start, iv.end,
+                            ace);
+    pending.clear();
+}
+
+void
+DeadCodeAnalyzer::resolveLive(DynInstr &in)
+{
+    forward(in.tid, in.pending, !in.neverAce());
+    if (in.writesReg() && !in.neverAce())
+        ++resolvedCount_;
+}
+
+void
+DeadCodeAnalyzer::resolve(Producer &p, bool dead)
+{
+    forward(p.tid, p.pending, !dead && p.ace);
+    if (p.ace) {
         ++resolvedCount_;
         if (dead)
             ++deadCount_;
     }
+    if (dead && trace_)
+        trace_->markDead(p.traceIdx);
+    p.parked = false;
 }
 
 bool
-DeadCodeAnalyzer::onCommit(const InstPtr &in)
+DeadCodeAnalyzer::onCommit(DynInstr &in)
 {
-    auto &slots = pending_.at(in->tid);
+    auto &slots = pending_.at(in.tid);
+    std::size_t trace_idx = trace_ ? trace_->append(in) : 0;
 
     // Reads first: a committed consumer proves its producer live. An
     // instruction that reads and rewrites the same register (common) must
     // count the read before displacing the producer.
-    for (RegIndex src : {in->srcReg1, in->srcReg2}) {
-        if (src == invalidReg)
-            continue;
-        if (auto &producer = slots[src]) {
-            resolve(producer, false);
-            producer = nullptr;
-        }
+    for (RegIndex src : {in.srcReg1, in.srcReg2}) {
+        if (src != invalidReg && slots[src].parked)
+            resolve(slots[src], false);
     }
 
-    if (!in->writesReg()) {
-        resolve(in, false);
+    if (!in.writesReg() || !enabled_) {
+        resolveLive(in);
         return false;
     }
 
-    if (!enabled_) {
-        resolve(in, false);
-        return false;
-    }
-
-    bool exposed_dead = false;
-    if (auto &prev = slots[in->destReg]) {
+    Producer &prev = slots[in.destReg];
+    bool exposed_dead = prev.parked;
+    if (exposed_dead)
         resolve(prev, true);
-        prev = nullptr;
-        exposed_dead = true;
-    }
-    slots[in->destReg] = in;
+    prev.pending = std::move(in.pending);
+    prev.traceIdx = trace_idx;
+    prev.tid = in.tid;
+    prev.ace = !in.neverAce();
+    prev.parked = true;
     return exposed_dead;
 }
 
 void
-DeadCodeAnalyzer::onSquash(const InstPtr &in)
+DeadCodeAnalyzer::onSquash(DynInstr &in)
 {
-    if (!in->squashed && !in->wrongPath)
+    if (!in.squashed && !in.wrongPath)
         SMTAVF_PANIC("onSquash() for a non-squashed instruction");
-    resolve(in, false); // neverAce() forces the intervals un-ACE
-}
-
-void
-DeadCodeAnalyzer::resolveLive(const InstPtr &in)
-{
-    resolve(in, false);
+    resolveLive(in); // neverAce() forces the intervals un-ACE
 }
 
 void
 DeadCodeAnalyzer::finish()
 {
-    for (auto &slots : pending_) {
-        for (auto &producer : slots) {
-            if (producer) {
-                resolve(producer, false);
-                producer = nullptr;
-            }
-        }
-    }
+    for (auto &slots : pending_)
+        for (Producer &p : slots)
+            if (p.parked)
+                resolve(p, false);
 }
 
 } // namespace smtavf

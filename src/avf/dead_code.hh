@@ -6,9 +6,10 @@
  * register is overwritten before any later instruction reads it: a soft
  * error in any of its pipeline residency is architecturally masked, so its
  * bits are un-ACE everywhere (Mukherjee et al.). Deadness is only knowable
- * at the *next writer's* commit, so instructions park their closed
- * residency intervals (DynInstr::pending) here until resolution; the
- * analyzer then classifies them and forwards the bit-cycles to the ledger.
+ * at the *next writer's* commit, so a committed writer's closed residency
+ * intervals (DynInstr::pending) park here in a Producer record until
+ * resolution; the analyzer then classifies them and forwards the
+ * bit-cycles to the ledger (and the verdict to the commit trace).
  *
  * Committed readers, not speculative ones, decide liveness: a consumer
  * that was squashed never architecturally read the value.
@@ -28,6 +29,8 @@
 
 namespace smtavf
 {
+
+class CommitTrace;
 
 /** Tracks pending producers per (thread, architectural register). */
 class DeadCodeAnalyzer
@@ -52,19 +55,22 @@ class DeadCodeAnalyzer
      *         destination register (callers use this to classify the
      *         freed physical register's value interval).
      */
-    bool onCommit(const InstPtr &in);
+    bool onCommit(DynInstr &in);
 
     /**
      * Resolve and forward the intervals of a squashed or wrong-path
      * instruction (always un-ACE; no deadness involved).
      */
-    void onSquash(const InstPtr &in);
+    void onSquash(DynInstr &in);
 
     /**
      * Resolve a still-in-flight instruction at end of run (conservatively
      * live; wrong-path instructions stay un-ACE via neverAce()).
      */
-    void resolveLive(const InstPtr &in);
+    void resolveLive(DynInstr &in);
+
+    /** Append commits to @p trace, with FDD verdicts (nullptr: off). */
+    void recordCommits(CommitTrace *trace) { trace_ = trace; }
 
     /** End of run: every still-pending producer is conservatively live. */
     void finish();
@@ -77,6 +83,7 @@ class DeadCodeAnalyzer
     reset()
     {
         pending_.assign(pending_.size(), {});
+        trace_ = nullptr;
         deadCount_ = 0;
         resolvedCount_ = 0;
     }
@@ -94,8 +101,8 @@ class DeadCodeAnalyzer
      * Checkpoint hook: counters only. Checkpoints are captured at a
      * boundary where finish() has just resolved every pending producer
      * (conservatively live — the same rule the end of a run applies), so
-     * the pending_ table is empty by construction and no instruction
-     * objects ever need to travel.
+     * the pending_ table is empty by construction and no producer record
+     * ever needs to travel.
      */
     template <class Ar>
     void
@@ -106,12 +113,27 @@ class DeadCodeAnalyzer
     }
 
   private:
-    void resolve(const InstPtr &in, bool dead);
+    /** A committed, still-unread register writer. */
+    struct Producer
+    {
+        SmallVec<PendingInterval, 6> pending;
+        std::size_t traceIdx = 0; ///< its CommitTrace record, if recording
+        ThreadId tid = invalidThread;
+        bool ace = false;         ///< ACE-eligible (not neverAce())
+        bool parked = false;      ///< this table entry is occupied
+    };
+
+    /** Forward @p pending to the ledger and empty it. */
+    void forward(ThreadId tid, SmallVec<PendingInterval, 6> &pending,
+                 bool ace);
+
+    void resolve(Producer &p, bool dead);
 
     AvfLedger &ledger_;
     bool enabled_;
+    CommitTrace *trace_ = nullptr;
     // pending unread producer per (thread, architectural register)
-    AVec<std::array<InstPtr, numArchRegs>> pending_;
+    AVec<std::array<Producer, numArchRegs>> pending_;
     std::uint64_t deadCount_ = 0;
     std::uint64_t resolvedCount_ = 0;
 };

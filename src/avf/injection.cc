@@ -8,21 +8,6 @@
 namespace smtavf
 {
 
-void
-CommitTrace::finalize()
-{
-    if (finalized_)
-        return;
-    records_.reserve(pending_.size());
-    for (const auto &in : pending_)
-        records_.push_back({in->tid, in->op, in->destReg, in->srcReg1,
-                            in->srcReg2, in->memAddr, in->memSize,
-                            in->destDead});
-    pending_.clear();
-    pending_.shrink_to_fit();
-    finalized_ = true;
-}
-
 const std::vector<CommitRecord> &
 CommitTrace::records() const
 {

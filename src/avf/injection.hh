@@ -48,29 +48,35 @@ struct CommitRecord
 
 /**
  * Commit-order trace of a run (recorded when the config asks for it).
- * Instructions are retained as handles until finalize() because the FDD
- * verdict (destDead) only resolves after the next writer commits.
+ * Each commit appends its record at once; the FDD verdict (destDead)
+ * only resolves after the next writer commits, so the dead-code analyzer
+ * patches it in by index, and records() is readable after finalize().
  */
 class CommitTrace
 {
   public:
-    /** Record a committing instruction (verdicts may still be pending). */
-    void append(const InstPtr &in) { pending_.push_back(in); }
+    /** Record a committing instruction; returns the record's index. */
+    std::size_t
+    append(const DynInstr &in)
+    {
+        records_.push_back({in.tid, in.op, in.destReg, in.srcReg1,
+                            in.srcReg2, in.memAddr, in.memSize, false});
+        return records_.size() - 1;
+    }
 
-    /** Materialize records once every deadness verdict is resolved. */
-    void finalize();
+    /** Record the "dead" FDD verdict of record @p index. */
+    void markDead(std::size_t index) { records_[index].destDead = true; }
+
+    /** Seal the trace once every deadness verdict is resolved. */
+    void finalize() { finalized_ = true; }
 
     /** Finalized records in commit order. */
     const std::vector<CommitRecord> &records() const;
 
-    std::size_t size() const
-    {
-        return finalized_ ? records_.size() : pending_.size();
-    }
+    std::size_t size() const { return records_.size(); }
     bool empty() const { return size() == 0; }
 
   private:
-    std::vector<InstPtr> pending_;
     std::vector<CommitRecord> records_;
     bool finalized_ = false;
 };

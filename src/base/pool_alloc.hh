@@ -2,19 +2,14 @@
  * @file
  * Size-classed slab pool and a std::allocator adapter over it.
  *
- * The tick loop creates and destroys one heap object per dynamic
- * instruction (the shared DynInstr control-block node) and one hash node
- * per outstanding cache miss. Both are fixed-size records with enormous
- * churn and a small live population — the textbook free-list case. The
- * SlabPool carves blocks out of multi-block slabs and recycles freed
- * blocks through intrusive LIFO free lists (one per size class), so after
- * a short warm-up the global allocator is never entered again.
- *
- * Lifetime: PoolAlloc holds the pool by shared_ptr and std::allocate_shared
- * stores a copy of the allocator inside every control block it creates, so
- * the slabs outlive every object allocated from them even if the owning
- * component (e.g. the SmtCore) is destroyed first — a recorded commit
- * trace can legitimately keep instructions alive past the core.
+ * Its one user is the memory hierarchy's MSHR maps (mem/hierarchy.hh):
+ * one hash node per outstanding cache miss, a fixed-size record with
+ * heavy churn and a small live population — the textbook free-list
+ * case. The SlabPool carves blocks out of multi-block slabs and recycles
+ * freed blocks through intrusive LIFO free lists (one per size class),
+ * so after a short warm-up the global allocator is never entered again.
+ * (In-flight instructions have their own fixed slot array,
+ * core/instr_slots.hh.)
  *
  * Not thread-safe by design: each pool belongs to one simulator, and
  * simulators never share mutable state (sim/campaign.hh).
@@ -59,7 +54,6 @@ class SlabPool
             addSlab(sc);
         void *block = sc.freeHead;
         sc.freeHead = *static_cast<void **>(block);
-        ++liveBlocks_;
         return block;
     }
 
@@ -70,14 +64,7 @@ class SlabPool
         SizeClass &sc = classFor(bytes, align);
         *static_cast<void **>(block) = sc.freeHead;
         sc.freeHead = block;
-        --liveBlocks_;
     }
-
-    /** Blocks currently handed out (tests: leak detection). */
-    std::size_t liveBlocks() const { return liveBlocks_; }
-
-    /** Slabs requested from the global allocator (tests: reuse proof). */
-    std::size_t slabCount() const { return slabs_.size(); }
 
   private:
     struct SizeClass
@@ -125,15 +112,13 @@ class SlabPool
     }
 
     std::size_t blocksPerSlab_;
-    std::size_t liveBlocks_ = 0;
     std::vector<SizeClass> classes_;
     std::vector<Slab> slabs_;
 };
 
 /**
  * std::allocator adapter over a shared SlabPool. Single-element
- * allocations (a container's node type, a shared_ptr control block) come
- * from the pool; array allocations (e.g. a hash table's bucket array)
+ * allocations (a container's node type) come from the pool; array allocations (e.g. a hash table's bucket array)
  * fall through to the global allocator, which only happens on container
  * growth.
  */

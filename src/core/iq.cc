@@ -14,7 +14,7 @@ IssueQueue::IssueQueue(std::uint32_t capacity)
 }
 
 void
-IssueQueue::insert(const InstPtr &in)
+IssueQueue::insert(DynInstr *in)
 {
     if (full())
         SMTAVF_PANIC("insert into a full IQ");
@@ -25,7 +25,7 @@ IssueQueue::insert(const InstPtr &in)
 }
 
 void
-IssueQueue::remove(const InstPtr &in)
+IssueQueue::remove(const DynInstr *in)
 {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
         if (*it == in) {
@@ -45,25 +45,11 @@ IssueQueue::removeIssued()
         if ((*it)->issued) {
             (*it)->inIq = false;
         } else {
-            if (out != it)
-                *out = std::move(*it);
+            *out = *it;
             ++out;
         }
     }
     entries_.erase(out, entries_.end());
-}
-
-void
-IssueQueue::removeSquashed(ThreadId tid, SeqNum seq)
-{
-    for (auto it = entries_.begin(); it != entries_.end();) {
-        if ((*it)->tid == tid && (*it)->seq > seq) {
-            (*it)->inIq = false;
-            it = entries_.erase(it);
-        } else {
-            ++it;
-        }
-    }
 }
 
 } // namespace smtavf

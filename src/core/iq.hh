@@ -37,10 +37,10 @@ class IssueQueue
     }
 
     /** Insert at the tail (callers dispatch in global age order). */
-    void insert(const InstPtr &in);
+    void insert(DynInstr *in);
 
     /** Remove an issued instruction. */
-    void remove(const InstPtr &in);
+    void remove(const DynInstr *in);
 
     /**
      * Remove every entry whose issued flag is set, in one stable
@@ -50,9 +50,6 @@ class IssueQueue
      * on the hottest per-cycle path.
      */
     void removeIssued();
-
-    /** Remove every entry of @p tid with seq > @p seq (squash). */
-    void removeSquashed(ThreadId tid, SeqNum seq);
 
     /** Worker-reuse hook: empty the queue, capacity retained. */
     void reset() { entries_.clear(); }
@@ -72,7 +69,7 @@ class IssueQueue
      * std::list-based queue while staying in one contiguous, reserved
      * allocation for the life of the core.
      */
-    AVec<InstPtr> entries_;
+    AVec<DynInstr *> entries_;
 };
 
 } // namespace smtavf

@@ -13,7 +13,7 @@ Lsq::Lsq(std::uint32_t capacity)
 }
 
 void
-Lsq::push(const InstPtr &in)
+Lsq::push(DynInstr *in)
 {
     if (full())
         SMTAVF_PANIC("push into a full LSQ");
@@ -23,7 +23,7 @@ Lsq::push(const InstPtr &in)
 }
 
 void
-Lsq::popCommitted(const InstPtr &in)
+Lsq::popCommitted(const DynInstr *in)
 {
     if (entries_.empty() || entries_.front() != in)
         SMTAVF_PANIC("LSQ commit out of order");

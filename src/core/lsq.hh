@@ -27,10 +27,10 @@ class Lsq
     std::uint32_t capacity() const { return capacity_; }
 
     /** Append at dispatch (program order). */
-    void push(const InstPtr &in);
+    void push(DynInstr *in);
 
     /** Remove the committing instruction (must be the oldest). */
-    void popCommitted(const InstPtr &in);
+    void popCommitted(const DynInstr *in);
 
     /** Remove squashed entries with seq > @p seq. */
     void squashAfter(SeqNum seq);
@@ -41,7 +41,7 @@ class Lsq
      * load per cycle by the issue stage.
      */
     bool
-    loadMayIssue(const InstPtr &load) const
+    loadMayIssue(const DynInstr *load) const
     {
         for (const auto &e : entries_) {
             if (e->seq >= load->seq)
@@ -57,7 +57,7 @@ class Lsq
      * load's bytes can supply the data directly (no cache access needed).
      */
     bool
-    canForward(const InstPtr &load) const
+    canForward(const DynInstr *load) const
     {
         bool forward = false;
         for (const auto &e : entries_) {
@@ -87,7 +87,7 @@ class Lsq
 
     std::uint32_t capacity_;
     /** Ring sized to capacity up front: no allocation after construction. */
-    RingBuffer<InstPtr> entries_;
+    RingBuffer<DynInstr *> entries_;
 };
 
 } // namespace smtavf

@@ -13,20 +13,13 @@ Rob::Rob(std::uint32_t capacity)
 }
 
 void
-Rob::push(const InstPtr &in)
+Rob::push(DynInstr *in)
 {
     if (full())
         SMTAVF_PANIC("push into a full ROB");
     if (!entries_.empty() && entries_.back()->seq >= in->seq)
         SMTAVF_PANIC("ROB push out of program order");
     entries_.push_back(in);
-}
-
-const InstPtr &
-Rob::front() const
-{
-    static const InstPtr null_inst;
-    return entries_.empty() ? null_inst : entries_.front();
 }
 
 void

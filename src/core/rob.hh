@@ -27,10 +27,10 @@ class Rob
     std::uint32_t capacity() const { return capacity_; }
 
     /** Append at the tail (program order). */
-    void push(const InstPtr &in);
+    void push(DynInstr *in);
 
     /** Oldest entry, or nullptr when empty. */
-    const InstPtr &front() const;
+    DynInstr *front() const { return empty() ? nullptr : entries_.front(); }
 
     /** Retire the oldest entry. */
     void popFront();
@@ -60,7 +60,7 @@ class Rob
   private:
     std::uint32_t capacity_;
     /** Ring sized to capacity up front: no allocation after construction. */
-    RingBuffer<InstPtr> entries_;
+    RingBuffer<DynInstr *> entries_;
 };
 
 } // namespace smtavf

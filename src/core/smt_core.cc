@@ -19,6 +19,7 @@ SmtCore::SmtCore(const MachineConfig &cfg,
                  AvfLedger &ledger)
     : cfg_(cfg), hier_(hier), ledger_(ledger),
       analyzer_(cfg.contexts, ledger, cfg.avf.deadCodeAnalysis),
+      slots_(std::size_t{cfg.contexts} * (cfg.fetchQueueSize + cfg.robSize)),
       regfile_(cfg.intPhysRegs, cfg.fpPhysRegs, ledger,
                cfg.avf.regAllocWindowUnace, cfg.avf.deadCodeAnalysis),
       iq_(cfg.iqSize), fuPool_(cfg.fu)
@@ -49,6 +50,14 @@ SmtCore::SmtCore(const MachineConfig &cfg,
     wheel_.resize(size);
     wheelMask_ = size - 1;
 
+    declareStructureBits();
+}
+
+SmtCore::~SmtCore() = default;
+
+void
+SmtCore::declareStructureBits()
+{
     ledger_.setStructureBits(HwStruct::IQ,
                              std::uint64_t{cfg_.iqSize} * bits::iqEntry);
     ledger_.setStructureBits(
@@ -66,8 +75,6 @@ SmtCore::SmtCore(const MachineConfig &cfg,
     ledger_.setStructureBits(HwStruct::FU, fuPool_.totalBits());
 }
 
-SmtCore::~SmtCore() = default;
-
 void
 SmtCore::reset(const MachineConfig &cfg)
 {
@@ -76,28 +83,20 @@ SmtCore::reset(const MachineConfig &cfg)
 
     analyzer_.reset();
     regfile_.reset();
-    iq_.reset();
     fuPool_.reset();
 
+    clearInFlight();
     for (auto &thp : threads_) {
         auto &th = *thp;
-        th.frontQueue.reset();
         th.fetchStreamIdx = 0;
-        th.wrongPathMode = false;
         th.wrongPathPc = 0;
         th.seqCounter = 0;
         th.icacheStallUntil = 0;
-        th.iqCount = 0;
-        th.wrongPathFrontIq = 0;
-        th.outL1D = 0;
-        th.outL2D = 0;
         th.fetchedCount = 0;
         th.issuedCount = 0;
         th.committedCount = 0;
         th.nextCommitStreamIdx = 0;
         th.rename.reset();
-        th.rob.reset();
-        th.lsq.reset();
         th.predictor.reset();
     }
 
@@ -108,38 +107,13 @@ SmtCore::reset(const MachineConfig &cfg)
     commitRR_ = 0;
     dispatchRR_ = 0;
 
-    // A reusing reset only runs at a drained boundary, so the wheel and
-    // overflow map are empty already; the assign/clear are belt-and-braces
-    // (same-size assign and an empty-map clear allocate nothing).
-    wheel_.assign(wheel_.size(), CompletionList{});
-    overflow_.clear();
-    pendingNotices_.clear();
-    noticesScratch_.clear();
-    issueScratch_.clear();
-
     wrongPathFetched_ = 0;
     squashedInstrs_ = 0;
     fetchedInstrs_ = 0;
     fetchEnabled_ = true;
-    commitTrace_ = nullptr;
 
-    // Re-declare the structure geometry, as the constructor does (the
-    // owning Simulator has just reset the ledger).
-    ledger_.setStructureBits(HwStruct::IQ,
-                             std::uint64_t{cfg_.iqSize} * bits::iqEntry);
-    ledger_.setStructureBits(
-        HwStruct::ROB,
-        std::uint64_t{cfg_.contexts} * cfg_.robSize * bits::robEntry,
-        std::uint64_t{cfg_.robSize} * bits::robEntry);
-    ledger_.setStructureBits(
-        HwStruct::LsqData,
-        std::uint64_t{cfg_.contexts} * cfg_.lsqSize * bits::lsqData,
-        std::uint64_t{cfg_.lsqSize} * bits::lsqData);
-    ledger_.setStructureBits(
-        HwStruct::LsqTag,
-        std::uint64_t{cfg_.contexts} * cfg_.lsqSize * bits::lsqTag,
-        std::uint64_t{cfg_.lsqSize} * bits::lsqTag);
-    ledger_.setStructureBits(HwStruct::FU, fuPool_.totalBits());
+    // The owning Simulator has just reset the ledger.
+    declareStructureBits();
 }
 
 unsigned
@@ -153,12 +127,6 @@ SmtCore::inFlightCount(ThreadId tid) const
 {
     const auto &th = *threads_.at(tid);
     return static_cast<unsigned>(th.frontQueue.size()) + th.iqCount;
-}
-
-unsigned
-SmtCore::iqOccupancy(ThreadId tid) const
-{
-    return threads_.at(tid)->iqCount;
 }
 
 unsigned
@@ -202,12 +170,6 @@ unsigned
 SmtCore::outstandingL2D(ThreadId tid) const
 {
     return threads_.at(tid)->outL2D;
-}
-
-void
-SmtCore::flushAfter(ThreadId tid, SeqNum seq)
-{
-    squashAfter(tid, seq);
 }
 
 std::uint64_t
@@ -256,10 +218,33 @@ SmtCore::tick()
 }
 
 void
-SmtCore::scheduleCompletion(const InstPtr &in, Cycle when)
+SmtCore::clearInFlight()
+{
+    for (auto &thp : threads_) {
+        auto &th = *thp;
+        th.frontQueue.reset();
+        th.rob.reset();
+        th.lsq.reset();
+        th.wrongPathMode = false;
+        th.iqCount = 0;
+        th.wrongPathFrontIq = 0;
+        th.outL1D = 0;
+        th.outL2D = 0;
+    }
+    iq_.reset();
+    // Same-size assign and clearing an empty map allocate nothing.
+    wheel_.assign(wheel_.size(), CompletionList{});
+    overflow_.clear();
+    pendingNotices_.clear();
+    slots_.reset();
+}
+
+void
+SmtCore::scheduleCompletion(DynInstr *in, Cycle when)
 {
     if (when <= now_)
         SMTAVF_PANIC("completion scheduled in the past");
+    in->completeCycle = when;
     // A delta of exactly the wheel size is safe: that bucket was drained
     // and cleared earlier this cycle (processCompletions runs before any
     // scheduling stage) and will next be visited exactly at `when`.
@@ -270,19 +255,28 @@ SmtCore::scheduleCompletion(const InstPtr &in, Cycle when)
 }
 
 void
+SmtCore::unschedule(DynInstr *in)
+{
+    // A pending wheel bucket only holds events of one cycle, but an
+    // event scheduled beyond the wheel's horizon sits in overflow_.
+    if (!wheel_[in->completeCycle & wheelMask_].remove(in) &&
+        !overflow_.at(in->completeCycle).remove(in))
+        SMTAVF_PANIC("squashed event missing from the completion wheel");
+}
+
+void
 SmtCore::drainCompletions(CompletionList &list)
 {
-    InstPtr cur = std::move(list.head);
-    list.tail = nullptr;
-    while (cur) {
-        // Unchain before completing: the link must not outlive the
-        // bucket, and a branch completion may squash chained successors
-        // (they stay chained; the squashed check below skips them).
-        InstPtr next = std::move(cur->completionNext);
-        if (!cur->squashed)
-            complete(cur);
-        cur = std::move(next);
+    // Pop before completing: a branch completion may squash, and so
+    // unlink, later events of this very list.
+    while (DynInstr *in = list.head) {
+        list.head = in->completionNext;
+        if (!list.head)
+            list.tail = nullptr;
+        in->completionNext = nullptr;
+        complete(in);
     }
+    list.squashed = false;
 }
 
 void
@@ -293,9 +287,8 @@ SmtCore::processCompletions()
     // horizon), so draining them first reproduces the exact batch order of
     // the former std::map-based schedule.
     while (!overflow_.empty() && overflow_.begin()->first <= now_) {
-        CompletionList batch = std::move(overflow_.begin()->second);
+        drainCompletions(overflow_.begin()->second);
         overflow_.erase(overflow_.begin());
-        drainCompletions(batch);
     }
 
     // complete() never schedules for the current cycle, so the chain
@@ -304,10 +297,9 @@ SmtCore::processCompletions()
 }
 
 void
-SmtCore::complete(const InstPtr &in)
+SmtCore::complete(DynInstr *in)
 {
     in->completed = true;
-    in->completeCycle = now_;
     auto &th = *threads_.at(in->tid);
 
     if (in->destPhys != invalidReg)
@@ -319,13 +311,13 @@ SmtCore::complete(const InstPtr &in)
             if (in->l2Miss)
                 --th.outL2D;
         }
-        policy_->onLoadDone(in, in->dl1Miss, in->l2Miss);
+        policy_->onLoadDone(*in, in->dl1Miss, in->l2Miss);
     }
 
     if (in->isBranch()) {
         th.predictor.train(*in);
         if (in->mispredicted && !in->wrongPath)
-            squashAfter(in->tid, in->seq);
+            flushAfter(in->tid, in->seq);
     }
 }
 
@@ -338,47 +330,38 @@ SmtCore::commitStage()
         ThreadId tid = static_cast<ThreadId>((commitRR_ + i) % n);
         auto &th = *threads_[tid];
         while (count < cfg_.commitWidth) {
-            const InstPtr head = th.rob.front();
+            DynInstr *head = th.rob.front();
             if (!head || !head->completed || head->completeCycle >= now_)
                 break;
 
             th.rob.popFront();
-
-            head->pending.push_back({HwStruct::ROB, bits::robEntry,
-                                     head->dispatchCycle, now_});
-            if (head->isMem()) {
+            if (head->isMem())
                 th.lsq.popCommitted(head);
-                head->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                         head->dispatchCycle, now_});
-                Cycle data_start = head->op == OpClass::Load
-                                       ? head->completeCycle
-                                       : head->issueCycle;
-                head->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                         data_start, now_});
-            }
+            closeResidency(head, head->op == OpClass::Load
+                                     ? head->completeCycle
+                                     : head->issueCycle);
             if (head->op == OpClass::Store)
                 hier_.storeCommit(tid, head->memAddr, head->memSize, now_);
 
             regfile_.noteRead(head->srcPhys1, head->issueCycle);
             regfile_.noteRead(head->srcPhys2, head->issueCycle);
 
-            bool exposed_dead = analyzer_.onCommit(head);
+            bool exposed_dead = analyzer_.onCommit(*head);
             if (head->oldDestPhys != invalidReg)
                 regfile_.release(head->oldDestPhys, now_, exposed_dead);
-            if (commitTrace_)
-                commitTrace_->append(head);
 
             th.gen->retireBelow(head->streamIdx + 1);
             th.nextCommitStreamIdx = head->streamIdx + 1;
             ++th.committedCount;
             ++count;
+            slots_.release(head);
         }
     }
     commitRR_ = (commitRR_ + 1) % n;
 }
 
 bool
-SmtCore::tryIssue(const InstPtr &in, unsigned &mem_ports_used)
+SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
 {
     // Stores issue (generate their address) once the address operand is
     // ready; the data operand only has to arrive by commit, which in-order
@@ -405,6 +388,9 @@ SmtCore::tryIssue(const InstPtr &in, unsigned &mem_ports_used)
     in->issued = true;
     in->issueCycle = now_;
     ++th.issuedCount;
+    --th.iqCount; // the select stage compacts the IQ after its scan
+    if (in->wrongPath)
+        --th.wrongPathFrontIq;
     in->pending.push_back({HwStruct::IQ, bits::iqEntry, in->dispatchCycle,
                            now_});
 
@@ -450,8 +436,7 @@ SmtCore::issueStage()
 {
     unsigned issued = 0;
     unsigned mem_ports_used = 0;
-    issueScratch_.clear();
-    for (const auto &in : iq_) {
+    for (DynInstr *in : iq_) {
         if (issued >= cfg_.issueWidth)
             break;
         if (in->dispatchCycle >= now_)
@@ -463,30 +448,19 @@ SmtCore::issueStage()
             continue;
         if (in->op != OpClass::Store && !regfile_.isReady(in->srcPhys2))
             continue;
-        if (tryIssue(in, mem_ports_used)) {
-            issueScratch_.push_back(in);
+        if (tryIssue(in, mem_ports_used))
             ++issued;
-        }
     }
-    for (const auto &in : issueScratch_) {
-        auto &th = *threads_[in->tid];
-        --th.iqCount;
-        if (in->wrongPath)
-            --th.wrongPathFrontIq;
-    }
-    if (!issueScratch_.empty())
+    if (issued)
         iq_.removeIssued();
-    issueScratch_.clear();
 
     // Deliver policy notifications now that the IQ scan is over (FLUSH may
-    // squash, which mutates the IQ). Swapped into the scratch buffer so
-    // both vectors keep their capacity across ticks.
-    std::swap(pendingNotices_, noticesScratch_);
-    for (const auto &n : noticesScratch_) {
+    // squash, which mutates the IQ but never adds a notice).
+    for (const auto &n : pendingNotices_) {
         if (!n.load->squashed)
-            policy_->onLoadIssued(n.load, n.l1Miss, n.l2Miss);
+            policy_->onLoadIssued(*n.load, n.l1Miss, n.l2Miss);
     }
-    noticesScratch_.clear();
+    pendingNotices_.clear();
 }
 
 void
@@ -501,7 +475,7 @@ SmtCore::dispatchStage()
             auto &fe = th.frontQueue.front();
             if (fe.readyAt > now_)
                 break;
-            const InstPtr in = fe.in;
+            DynInstr *in = fe.in;
             if (th.rob.full() || iq_.full())
                 break;
             if (in->isMem() && th.lsq.full())
@@ -566,20 +540,21 @@ SmtCore::fetchThread(ThreadId tid, unsigned budget)
 
     unsigned fetched = 0;
     while (fetched < budget && th.frontQueue.size() < cfg_.fetchQueueSize) {
-        InstPtr in;
+        DynInstr *in;
         if (th.wrongPathMode) {
             if (!cfg_.avf.wrongPathModel)
                 break; // ablation: front end idles out mispredictions
-            in = instrPool_.create(th.gen->makeWrongPath(th.wrongPathPc));
+            in = slots_.acquire(th.gen->makeWrongPath(th.wrongPathPc));
             th.wrongPathPc = th.gen->clampToCode(th.wrongPathPc + 4);
         } else {
-            in = instrPool_.create(th.gen->at(th.fetchStreamIdx));
+            in = slots_.acquire(th.gen->at(th.fetchStreamIdx));
         }
 
         if (fetched == 0) {
             MemOutcome out = hier_.fetch(tid, in->pc, now_);
             if (out.l1Miss || out.tlbMiss) {
                 th.icacheStallUntil = out.ready;
+                slots_.release(in);
                 break;
             }
         }
@@ -595,7 +570,7 @@ SmtCore::fetchThread(ThreadId tid, unsigned budget)
 
         th.predictor.predict(*in);
         th.frontQueue.push_back({in, now_ + cfg_.frontLatency});
-        policy_->onFetch(in);
+        policy_->onFetch(*in);
         ++fetched;
         ++fetchedInstrs_;
         ++th.fetchedCount;
@@ -614,23 +589,25 @@ SmtCore::fetchThread(ThreadId tid, unsigned budget)
 }
 
 void
-SmtCore::squashAfter(ThreadId tid, SeqNum seq)
+SmtCore::flushAfter(ThreadId tid, SeqNum seq)
 {
     auto &th = *threads_.at(tid);
 
     while (!th.frontQueue.empty() && th.frontQueue.back().in->seq > seq) {
-        const InstPtr in = th.frontQueue.back().in;
+        DynInstr *in = th.frontQueue.back().in;
         in->squashed = true;
         if (in->wrongPath)
             --th.wrongPathFrontIq;
         th.predictor.squashRecover(*in);
         if (in->op == OpClass::Load)
-            policy_->onLoadDone(in, false, false);
+            policy_->onLoadDone(*in, false, false);
         th.frontQueue.pop_back();
         ++squashedInstrs_;
+        slots_.release(in);
     }
 
-    th.rob.squashAfter(seq, [&](const InstPtr &in) {
+    th.lsq.squashAfter(seq);
+    th.rob.squashAfter(seq, [&](DynInstr *in) {
         in->squashed = true;
         ++squashedInstrs_;
         th.predictor.squashRecover(*in);
@@ -639,21 +616,12 @@ SmtCore::squashAfter(ThreadId tid, SeqNum seq)
             th.rename.set(in->destReg, in->oldDestPhys);
             regfile_.releaseSquashed(in->destPhys, now_);
         }
+        closeResidency(in, in->dispatchCycle);
         if (in->inIq) {
-            in->pending.push_back({HwStruct::IQ, bits::iqEntry,
-                                   in->dispatchCycle, now_});
             iq_.remove(in);
             --th.iqCount;
             if (in->wrongPath)
                 --th.wrongPathFrontIq;
-        }
-        in->pending.push_back({HwStruct::ROB, bits::robEntry,
-                               in->dispatchCycle, now_});
-        if (in->isMem()) {
-            in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                   in->dispatchCycle, now_});
-            in->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                   in->dispatchCycle, now_});
         }
         if (in->op == OpClass::Load) {
             if (in->issued && !in->completed && in->dl1Miss) {
@@ -661,13 +629,31 @@ SmtCore::squashAfter(ThreadId tid, SeqNum seq)
                 if (in->l2Miss)
                     --th.outL2D;
             }
-            policy_->onLoadDone(in, in->dl1Miss, in->l2Miss);
+            policy_->onLoadDone(*in, in->dl1Miss, in->l2Miss);
         }
-        analyzer_.onSquash(in);
+        analyzer_.onSquash(*in);
+        if (in->issued && !in->completed)
+            unschedule(in);
+        slots_.release(in);
     });
-    th.lsq.squashAfter(seq);
 
     recomputeFetchState(th);
+}
+
+void
+SmtCore::closeResidency(DynInstr *in, Cycle lsq_data_start)
+{
+    if (in->inIq)
+        in->pending.push_back({HwStruct::IQ, bits::iqEntry,
+                               in->dispatchCycle, now_});
+    in->pending.push_back({HwStruct::ROB, bits::robEntry, in->dispatchCycle,
+                           now_});
+    if (in->isMem()) {
+        in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
+                               in->dispatchCycle, now_});
+        in->pending.push_back({HwStruct::LsqData, bits::lsqData,
+                               lsq_data_start, now_});
+    }
 }
 
 void
@@ -675,13 +661,13 @@ SmtCore::recomputeFetchState(ThreadContext &th)
 {
     bool wrong = false;
     std::uint64_t next_idx = th.nextCommitStreamIdx;
-    auto scan = [&](const InstPtr &in) {
+    auto scan = [&](const DynInstr *in) {
         if (in->isBranch() && in->mispredicted && !in->completed)
             wrong = true;
         if (!in->wrongPath && in->streamIdx + 1 > next_idx)
             next_idx = in->streamIdx + 1;
     };
-    for (const auto &in : th.rob)
+    for (const DynInstr *in : th.rob)
         scan(in);
     for (const auto &fe : th.frontQueue)
         scan(fe.in);
@@ -704,7 +690,7 @@ SmtCore::stateDump() const
            << th.frontQueue.size() << " iq " << th.iqCount << " outL1 "
            << th.outL1D << " outL2 " << th.outL2D << " wrongPath "
            << th.wrongPathMode;
-        if (const auto &head = th.rob.front()) {
+        if (const DynInstr *head = th.rob.front()) {
             os << " | head seq " << head->seq << " op "
                << opClassName(head->op) << " inIq " << head->inIq
                << " issued " << head->issued << " completed "
@@ -724,24 +710,14 @@ SmtCore::finalizeAvf()
     // Close the residency of still-in-flight instructions, then resolve
     // every deferred classification conservatively live.
     for (auto &thp : threads_) {
-        auto &th = *thp;
-        for (const auto &in : th.rob) {
-            if (in->inIq)
-                in->pending.push_back({HwStruct::IQ, bits::iqEntry,
-                                       in->dispatchCycle, now_});
-            in->pending.push_back({HwStruct::ROB, bits::robEntry,
-                                   in->dispatchCycle, now_});
-            if (in->isMem()) {
-                in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                                       in->dispatchCycle, now_});
-                in->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                                       in->dispatchCycle, now_});
-            }
-            analyzer_.resolveLive(in);
+        for (DynInstr *in : thp->rob) {
+            closeResidency(in, in->dispatchCycle);
+            analyzer_.resolveLive(*in);
         }
     }
     analyzer_.finish();
     regfile_.finalizeAll(now_);
+    clearInFlight(); // the run is over: every slot goes back
 }
 
 } // namespace smtavf

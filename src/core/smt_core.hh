@@ -15,7 +15,8 @@
  * AVF accounting: every stage closes bit-residency intervals on the
  * instructions flowing through it (DynInstr::pending); classification is
  * deferred to the DeadCodeAnalyzer, while the cache/TLB observers write to
- * the ledger directly.
+ * the ledger directly. Instructions live in a fixed slot array
+ * (core/instr_slots.hh); every queue holds plain pointers into it.
  */
 
 #ifndef SMTAVF_CORE_SMT_CORE_HH
@@ -30,6 +31,7 @@
 #include "avf/ledger.hh"
 #include "branch/predictor.hh"
 #include "core/fu_pool.hh"
+#include "core/instr_slots.hh"
 #include "core/iq.hh"
 #include "core/lsq.hh"
 #include "core/machine_config.hh"
@@ -37,7 +39,6 @@
 #include "core/rename.hh"
 #include "core/rob.hh"
 #include "base/ring_buffer.hh"
-#include "isa/instr_pool.hh"
 #include "mem/hierarchy.hh"
 #include "policy/fetch_policy.hh"
 #include "workload/generator.hh"
@@ -46,7 +47,7 @@ namespace smtavf
 {
 
 /** The SMT pipeline. */
-class SmtCore : public PolicyContext
+class SmtCore final : public PolicyContext
 {
   public:
     /**
@@ -93,10 +94,10 @@ class SmtCore : public PolicyContext
     /**
      * Resolve every deferred dead-code classification at a drained
      * boundary, the same conservatively-live rule the end of a run
-     * applies. Afterwards the analyzer holds no instruction references,
-     * which is what lets a checkpoint travel without serializing
-     * instruction objects. A checkpoint is therefore a (deterministic)
-     * semantically visible event: the contract is restore-then-run ==
+     * applies. Afterwards the analyzer holds no producer records, which
+     * is what lets a checkpoint travel without serializing them. A
+     * checkpoint is therefore a (deterministic) semantically visible
+     * event: the contract is restore-then-run ==
      * the-run-that-checkpointed-and-continued, not == a run that never
      * checkpointed (docs/CHECKPOINT.md).
      */
@@ -118,7 +119,7 @@ class SmtCore : public PolicyContext
             if (!thp->frontQueue.empty() || thp->rob.size() != 0)
                 return false;
         for (const auto &b : wheel_)
-            if (b.head)
+            if (b.head || b.squashed)
                 return false;
         return true;
     }
@@ -173,13 +174,7 @@ class SmtCore : public PolicyContext
             policy_->loadState(ar);
             // Boundary invariants (already true on a fresh core; restated
             // so a restore into a reused core cannot smuggle stale state).
-            for (auto &thp : threads_) {
-                thp->wrongPathMode = false;
-                thp->iqCount = 0;
-                thp->wrongPathFrontIq = 0;
-                thp->outL1D = 0;
-                thp->outL2D = 0;
-            }
+            clearInFlight();
         } else if constexpr (std::is_same_v<Ar, ByteCounter>) {
             // saveState is a virtual taking Serializer& (it cannot be a
             // template); measure its few bytes with a scratch buffer.
@@ -210,9 +205,6 @@ class SmtCore : public PolicyContext
 
     /** One-line-per-thread pipeline snapshot for stall diagnostics. */
     std::string stateDump() const;
-
-    /** Current issue-queue occupancy of one thread (tests, diagnostics). */
-    unsigned iqOccupancy(ThreadId tid) const;
 
     // ---- state exposure for the invariant checker (sim/invariants.hh) --
 
@@ -246,10 +238,33 @@ class SmtCore : public PolicyContext
     std::uint64_t issued(ThreadId tid) const;
 
     /** Append committing instructions to @p trace (nullptr disables). */
-    void recordCommits(CommitTrace *trace) { commitTrace_ = trace; }
+    void recordCommits(CommitTrace *trace) { analyzer_.recordCommits(trace); }
 
-    /** The DynInstr recycling pool (allocation-accounting tests). */
-    const InstrPool &instrPool() const { return instrPool_; }
+    /** The instruction slot array. */
+    const InstrSlots &slots() const { return slots_; }
+
+    /** Visit each instruction in @p tid's fetch queue, oldest first. */
+    template <typename Fn>
+    void
+    forEachFetched(ThreadId tid, Fn &&fn) const
+    {
+        for (const auto &fe : threads_.at(tid)->frontQueue)
+            fn(fe.in);
+    }
+
+    /** Visit each instruction waiting on the completion wheel. */
+    template <typename Fn>
+    void
+    forEachScheduled(Fn &&fn) const
+    {
+        for (const auto &b : wheel_)
+            for (const DynInstr *in = b.head; in; in = in->completionNext)
+                fn(in);
+        for (const auto &kv : overflow_)
+            for (const DynInstr *in = kv.second.head; in;
+                 in = in->completionNext)
+                fn(in);
+    }
 
     // ---- PolicyContext -------------------------------------------------
     unsigned numThreads() const override;
@@ -257,6 +272,12 @@ class SmtCore : public PolicyContext
     unsigned inFlightCorrectPath(ThreadId tid) const override;
     unsigned outstandingL1D(ThreadId tid) const override;
     unsigned outstandingL2D(ThreadId tid) const override;
+
+    /**
+     * Squash all instructions of @p tid with seq > @p seq (a FLUSH or a
+     * mispredicted branch): ROB walk-back rename recovery, resource
+     * release, un-ACE classification, front-end reset.
+     */
     void flushAfter(ThreadId tid, SeqNum seq) override;
     unsigned structOccupancy(HwStruct s, ThreadId tid) const override;
     const ProtectionConfig *
@@ -270,7 +291,7 @@ class SmtCore : public PolicyContext
     /** Fetched-but-not-dispatched instruction. */
     struct FrontEntry
     {
-        InstPtr in;
+        DynInstr *in;
         Cycle readyAt; ///< earliest dispatch cycle (front-end latency)
     };
 
@@ -309,30 +330,37 @@ class SmtCore : public PolicyContext
     unsigned fetchThread(ThreadId tid, unsigned budget);
 
     /** Try to issue one IQ entry; true on success. */
-    bool tryIssue(const InstPtr &in, unsigned &mem_ports_used);
+    bool tryIssue(DynInstr *in, unsigned &mem_ports_used);
 
     /** Complete one instruction at the current cycle. */
-    void complete(const InstPtr &in);
+    void complete(DynInstr *in);
 
     /**
-     * Squash all instructions of @p tid with seq > @p seq: ROB walk-back
-     * rename recovery, resource release, un-ACE classification, front-end
-     * reset.
+     * Close @p in's IQ (if still queued), ROB and LSQ residency at now_;
+     * its LSQ data entry has been live since @p lsq_data_start.
      */
-    void squashAfter(ThreadId tid, SeqNum seq);
+    void closeResidency(DynInstr *in, Cycle lsq_data_start);
 
     /** Recompute wrong-path mode and the fetch cursor after a squash. */
     void recomputeFetchState(ThreadContext &th);
 
-    void scheduleCompletion(const InstPtr &in, Cycle when);
+    void scheduleCompletion(DynInstr *in, Cycle when);
+
+    /** Give the ledger this machine's IQ/ROB/LSQ/FU geometry. */
+    void declareStructureBits();
+
+    /** Take a squashed instruction's pending event off the wheel. */
+    void unschedule(DynInstr *in);
+
+    /** Empty every queue, the wheel and the notices; free all slots. */
+    void clearInFlight();
 
     MachineConfig cfg_;
     MemHierarchy &hier_;
     AvfLedger &ledger_;
     DeadCodeAnalyzer analyzer_;
 
-    /** Recycles DynInstr storage across fetches (see isa/instr_pool.hh). */
-    InstrPool instrPool_;
+    InstrSlots slots_;
 
     PhysRegFile regfile_;
     IssueQueue iq_;
@@ -350,27 +378,45 @@ class SmtCore : public PolicyContext
      * DynInstr::completionNext: append is O(1) via the tail pointer and
      * the chain borrows the instructions' own storage, so scheduling
      * allocates nothing no matter how many events pile onto one cycle.
-     * The chain's shared_ptr links keep every scheduled instruction
-     * alive until its bucket drains, exactly as the former per-bucket
-     * vector did.
+     * A squash unlinks its events (freeing their slots at once) but sets
+     * `squashed`, so the cycle still counts as scheduled until it drains
+     * and drain boundaries land where they always did.
      */
     struct CompletionList
     {
-        InstPtr head;             ///< oldest-scheduled event
+        DynInstr *head = nullptr; ///< oldest-scheduled event
         DynInstr *tail = nullptr; ///< append point; null iff head empty
+        bool squashed = false;    ///< an event was unlinked by a squash
 
         void
-        append(const InstPtr &in)
+        append(DynInstr *in)
         {
             if (tail)
                 tail->completionNext = in;
             else
                 head = in;
-            tail = in.get();
+            tail = in;
+        }
+
+        /** Unlink @p in; false when it is not on this list. */
+        bool
+        remove(DynInstr *in)
+        {
+            DynInstr *prev = nullptr;
+            for (DynInstr **at = &head; *at; at = &(*at)->completionNext) {
+                if (*at == in) {
+                    *at = in->completionNext;
+                    tail = tail == in ? prev : tail;
+                    in->completionNext = nullptr;
+                    return squashed = true;
+                }
+                prev = *at;
+            }
+            return false;
         }
     };
 
-    /** Complete (in schedule order) and unchain every event of @p list. */
+    /** Complete every event of @p list in schedule order, unchaining it. */
     void drainCompletions(CompletionList &list);
 
     /**
@@ -388,18 +434,18 @@ class SmtCore : public PolicyContext
     Cycle wheelMask_ = 0;
     std::map<Cycle, CompletionList> overflow_;
 
-    /** Deferred policy notifications (no IQ mutation mid-issue-scan). */
+    /**
+     * Deferred policy notifications (no IQ mutation mid-issue-scan). A
+     * load a FLUSH squashed mid-delivery reads squashed=true until
+     * fetch, later in the cycle, reuses its slot.
+     */
     struct LoadNotice
     {
-        InstPtr load;
+        DynInstr *load;
         bool l1Miss;
         bool l2Miss;
     };
     std::vector<LoadNotice> pendingNotices_;
-    /** Double buffer for pendingNotices_ delivery (reused every tick). */
-    std::vector<LoadNotice> noticesScratch_;
-    /** Issued-this-cycle scratch for issueStage (reused every tick). */
-    std::vector<InstPtr> issueScratch_;
 
     std::uint64_t wrongPathFetched_ = 0;
     std::uint64_t squashedInstrs_ = 0;
@@ -407,8 +453,6 @@ class SmtCore : public PolicyContext
 
     /** Fetch gate for drain-then-checkpoint (setFetchEnabled). */
     bool fetchEnabled_ = true;
-
-    CommitTrace *commitTrace_ = nullptr;
 };
 
 } // namespace smtavf

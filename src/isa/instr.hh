@@ -12,7 +12,6 @@
 #define SMTAVF_ISA_INSTR_HH
 
 #include <cstdint>
-#include <memory>
 
 #include "avf/structures.hh"
 #include "base/small_vec.hh"
@@ -131,7 +130,6 @@ struct DynInstr
     // --- classification flags ---------------------------------------------
     bool wrongPath = false;       ///< fetched past a mispredicted branch
     bool squashed = false;        ///< removed before commit
-    bool destDead = false;        ///< result overwritten before any read
 
     // --- rename state -------------------------------------------------------
     RegIndex destPhys = invalidReg;
@@ -146,7 +144,7 @@ struct DynInstr
     Cycle fetchCycle = 0;
     Cycle dispatchCycle = 0;
     Cycle issueCycle = 0;
-    Cycle completeCycle = 0;
+    Cycle completeCycle = 0; ///< set when issue schedules the completion
 
     /** DL1 outcome of this memory access (set at execute). */
     bool dl1Miss = false;
@@ -162,12 +160,12 @@ struct DynInstr
     SmallVec<PendingInterval, 6> pending;
 
     /**
-     * Intrusive FIFO link of the core's completion wheel: the next
-     * instruction scheduled to finish in the same cycle. Owned by the
-     * scheduling core; always null outside a scheduled window (the wheel
-     * clears it as it drains).
+     * Intrusive link owned by the core: the next instruction scheduled to
+     * finish in the same cycle while this one waits on the completion
+     * wheel, the next free slot while this slot is free
+     * (core/instr_slots.hh), null otherwise.
      */
-    std::shared_ptr<DynInstr> completionNext;
+    DynInstr *completionNext = nullptr;
 
     /** True for instructions that write a non-zero architectural register. */
     bool
@@ -189,9 +187,6 @@ struct DynInstr
         return wrongPath || squashed || op == OpClass::Nop;
     }
 };
-
-/** Shared handle to an in-flight dynamic instruction. */
-using InstPtr = std::shared_ptr<DynInstr>;
 
 } // namespace smtavf
 

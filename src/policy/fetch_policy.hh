@@ -173,20 +173,20 @@ class FetchPolicy
 
     /** A load executed; @p l1_miss / @p l2_miss classify its outcome. */
     virtual void
-    onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
+    onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
     {
         (void)load; (void)l1_miss; (void)l2_miss;
     }
 
     /** A previously missing load finished (data returned) or squashed. */
     virtual void
-    onLoadDone(const InstPtr &load, bool l1_miss, bool l2_miss)
+    onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
     {
         (void)load; (void)l1_miss; (void)l2_miss;
     }
 
     /** An instruction was fetched (PDG predicts load misses here). */
-    virtual void onFetch(const InstPtr &in) { (void)in; }
+    virtual void onFetch(const DynInstr &in) { (void)in; }
 
     /**
      * Checkpoint hooks. Checkpoints are captured at a *drained* boundary

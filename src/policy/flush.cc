@@ -20,28 +20,28 @@ FlushPolicy::fetchOrder(Cycle now)
 }
 
 void
-FlushPolicy::onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
+FlushPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     if (!l2_miss)
         return;
-    auto &gate = gates_[load->tid];
+    auto &gate = gates_[load.tid];
     if (gate.active)
         return; // already flushed for an older miss
     gate.active = true;
-    gate.loadSeq = load->seq;
+    gate.loadSeq = load.seq;
     ++flushes_;
     // Squash everything after the offending load and rewind fetch.
-    ctx_.flushAfter(load->tid, load->seq);
+    ctx_.flushAfter(load.tid, load.seq);
 }
 
 void
-FlushPolicy::onLoadDone(const InstPtr &load, bool l1_miss, bool l2_miss)
+FlushPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;
-    auto &gate = gates_[load->tid];
-    if (gate.active && gate.loadSeq == load->seq)
+    auto &gate = gates_[load.tid];
+    if (gate.active && gate.loadSeq == load.seq)
         gate.active = false;
 }
 

@@ -25,9 +25,9 @@ class FlushPolicy : public FetchPolicy
 
     const char *name() const override { return "FLUSH"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
-    void onLoadIssued(const InstPtr &load, bool l1_miss,
+    void onLoadIssued(const DynInstr &load, bool l1_miss,
                       bool l2_miss) override;
-    void onLoadDone(const InstPtr &load, bool l1_miss,
+    void onLoadDone(const DynInstr &load, bool l1_miss,
                     bool l2_miss) override;
 
     std::uint64_t flushes() const { return flushes_; }

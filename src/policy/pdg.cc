@@ -38,22 +38,22 @@ PdgPolicy::fetchOrder(Cycle now)
 }
 
 void
-PdgPolicy::onFetch(const InstPtr &in)
+PdgPolicy::onFetch(const DynInstr &in)
 {
-    if (in->op != OpClass::Load)
+    if (in.op != OpClass::Load)
         return;
-    bool predicted_miss = table_[tableIndex(in->pc)] >= 2;
-    inFlight_[in->tid][in->seq] = predicted_miss;
+    bool predicted_miss = table_[tableIndex(in.pc)] >= 2;
+    inFlight_[in.tid][in.seq] = predicted_miss;
     if (predicted_miss)
-        ++predicted_[in->tid];
+        ++predicted_[in.tid];
 }
 
 void
-PdgPolicy::onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
+PdgPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l2_miss;
     // Train the miss predictor with the actual outcome.
-    auto &ctr = table_[tableIndex(load->pc)];
+    auto &ctr = table_[tableIndex(load.pc)];
     if (l1_miss) {
         if (ctr < 3)
             ++ctr;
@@ -65,25 +65,25 @@ PdgPolicy::onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
     // A predicted-miss load that actually hit stops counting right away;
     // predicted-miss loads that really missed keep counting via
     // outstandingL1D, so drop the prediction either way.
-    auto &in_flight = inFlight_[load->tid];
-    auto it = in_flight.find(load->seq);
+    auto &in_flight = inFlight_[load.tid];
+    auto it = in_flight.find(load.seq);
     if (it != in_flight.end() && it->second) {
-        --predicted_[load->tid];
+        --predicted_[load.tid];
         it->second = false;
     }
 }
 
 void
-PdgPolicy::onLoadDone(const InstPtr &load, bool l1_miss, bool l2_miss)
+PdgPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;
-    auto &in_flight = inFlight_[load->tid];
-    auto it = in_flight.find(load->seq);
+    auto &in_flight = inFlight_[load.tid];
+    auto it = in_flight.find(load.seq);
     if (it == in_flight.end())
         return;
     if (it->second)
-        --predicted_[load->tid]; // squashed before issue
+        --predicted_[load.tid]; // squashed before issue
     in_flight.erase(it);
 }
 

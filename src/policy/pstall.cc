@@ -38,24 +38,24 @@ PStallPolicy::fetchOrder(Cycle now)
 }
 
 void
-PStallPolicy::onFetch(const InstPtr &in)
+PStallPolicy::onFetch(const DynInstr &in)
 {
-    if (in->op != OpClass::Load)
+    if (in.op != OpClass::Load)
         return;
-    auto &gate = gates_[in->tid];
+    auto &gate = gates_[in.tid];
     if (gate.active)
         return; // already gated by an older predicted miss
-    if (table_[tableIndex(in->pc)] >= 2) {
+    if (table_[tableIndex(in.pc)] >= 2) {
         gate.active = true;
-        gate.loadSeq = in->seq;
+        gate.loadSeq = in.seq;
     }
 }
 
 void
-PStallPolicy::onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
+PStallPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
-    auto &ctr = table_[tableIndex(load->pc)];
+    auto &ctr = table_[tableIndex(load.pc)];
     if (l2_miss) {
         if (ctr < 3)
             ++ctr;
@@ -63,19 +63,19 @@ PStallPolicy::onLoadIssued(const InstPtr &load, bool l1_miss, bool l2_miss)
         if (ctr > 0)
             --ctr;
         // A predicted-miss load that actually hit releases its gate early.
-        auto &gate = gates_[load->tid];
-        if (gate.active && gate.loadSeq == load->seq)
+        auto &gate = gates_[load.tid];
+        if (gate.active && gate.loadSeq == load.seq)
             gate.active = false;
     }
 }
 
 void
-PStallPolicy::onLoadDone(const InstPtr &load, bool l1_miss, bool l2_miss)
+PStallPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;
-    auto &gate = gates_[load->tid];
-    if (gate.active && gate.loadSeq == load->seq)
+    auto &gate = gates_[load.tid];
+    if (gate.active && gate.loadSeq == load.seq)
         gate.active = false;
 }
 

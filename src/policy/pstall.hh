@@ -31,10 +31,10 @@ class PStallPolicy : public FetchPolicy
 
     const char *name() const override { return "PSTALL"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
-    void onFetch(const InstPtr &in) override;
-    void onLoadIssued(const InstPtr &load, bool l1_miss,
+    void onFetch(const DynInstr &in) override;
+    void onLoadIssued(const DynInstr &load, bool l1_miss,
                       bool l2_miss) override;
-    void onLoadDone(const InstPtr &load, bool l1_miss,
+    void onLoadDone(const DynInstr &load, bool l1_miss,
                     bool l2_miss) override;
 
     /** Loads currently gating their thread on a fetch-time prediction. */

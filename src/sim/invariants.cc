@@ -224,12 +224,13 @@ checkIq(const SmtCore &core, Cycle now)
 
     unsigned sum = 0;
     for (unsigned t = 0; t < cfg.contexts; ++t) {
-        auto tid = static_cast<ThreadId>(t);
-        if (per_thread[t] != core.iqOccupancy(tid))
+        unsigned counted =
+            core.structOccupancy(HwStruct::IQ, static_cast<ThreadId>(t));
+        if (per_thread[t] != counted)
             violated(core, now, "iq.occupancy",
                      detail::concat("T", t, " occupancy counter says ",
-                                    core.iqOccupancy(tid), " but ",
-                                    per_thread[t], " entries are queued"));
+                                    counted, " but ", per_thread[t],
+                                    " entries are queued"));
         if (cfg.iqPartitioned &&
             per_thread[t] > cfg.iqSize / cfg.contexts)
             violated(core, now, "iq.occupancy",
@@ -272,6 +273,74 @@ checkLsq(const SmtCore &core, Cycle now)
             first = false;
         }
     }
+}
+
+void
+checkSlots(const SmtCore &core, Cycle now)
+{
+    const InstrSlots &slots = core.slots();
+    const std::size_t cap = slots.capacity();
+    enum : std::uint8_t { Unseen, Free, Fetched, InRob };
+    std::vector<std::uint8_t> state(cap, Unseen);
+
+    std::size_t free_count = 0;
+    for (const DynInstr *f = slots.freeHead(); f; f = f->completionNext) {
+        std::size_t i = slots.indexOf(f);
+        if (i == cap || state[i] != Unseen)
+            violated(core, now, "slots.ownership",
+                     i == cap ? std::string("free list leaves the slot array")
+                              : detail::concat("slot ", i,
+                                               " is on the free list twice"));
+        state[i] = Free;
+        ++free_count;
+    }
+    if (free_count + slots.live() != cap)
+        violated(core, now, "slots.ownership",
+                 detail::concat(free_count, " free + ", slots.live(),
+                                " live slots != capacity ", cap));
+
+    // Fetch queues and ROBs own the live slots, each exactly once.
+    std::size_t held = 0;
+    auto own = [&](const DynInstr *in, const char *where, std::uint8_t mark) {
+        std::size_t i = slots.indexOf(in);
+        if (i == cap || state[i] != Unseen)
+            violated(core, now, "slots.ownership",
+                     detail::concat(where, " holds ",
+                                    i == cap ? "a foreign handle"
+                                    : state[i] == Free ? "a free slot"
+                                                       : "a slot held twice",
+                                    " (slot ", i, ")"));
+        state[i] = mark;
+        ++held;
+    };
+    // The IQ, LSQs and completion wheel only refer to ROB residents.
+    auto in_rob = [&](const DynInstr *in, const char *where) {
+        std::size_t i = slots.indexOf(in);
+        if (i == cap || state[i] != InRob)
+            violated(core, now, "slots.ownership",
+                     detail::concat(where, " holds slot ", i,
+                                    ", which no ROB holds"));
+    };
+    const unsigned n = core.config().contexts;
+    for (unsigned t = 0; t < n; ++t) {
+        auto tid = static_cast<ThreadId>(t);
+        core.forEachFetched(tid, [&](const DynInstr *in) {
+            own(in, "fetch queue", Fetched);
+        });
+        for (const DynInstr *in : core.rob(tid))
+            own(in, "ROB", InRob);
+    }
+    if (held != slots.live())
+        violated(core, now, "slots.ownership",
+                 detail::concat(slots.live(), " live slots but only ", held,
+                                " reachable from fetch queues and ROBs"));
+    for (const DynInstr *in : core.issueQueue())
+        in_rob(in, "issue queue");
+    for (unsigned t = 0; t < n; ++t)
+        for (const DynInstr *in : core.lsq(static_cast<ThreadId>(t)))
+            in_rob(in, "LSQ");
+    core.forEachScheduled(
+        [&](const DynInstr *in) { in_rob(in, "completion wheel"); });
 }
 
 void
@@ -328,7 +397,19 @@ checkInvariants(const SmtCore &core, const AvfLedger &ledger, Cycle now)
     checkRob(core, now);
     checkIq(core, now);
     checkLsq(core, now);
+    checkSlots(core, now);
     checkLedger(core, ledger, now);
+}
+
+void
+checkSlotsReleased(const SmtCore &core, Cycle now)
+{
+    checkSlots(core, now);
+    if (core.slots().live() != 0)
+        violated(core, now, "slots.ownership",
+                 detail::concat(core.slots().live(),
+                                " slots still live where nothing may be ",
+                                "in flight"));
 }
 
 } // namespace smtavf

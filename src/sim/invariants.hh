@@ -33,6 +33,12 @@
  *  - ledger.accounting     per structure, accumulated ACE + un-ACE
  *                          bit-cycles never exceed capacity x elapsed
  *                          cycles (bit conservation)
+ *  - slots.ownership       the instruction slots partition into the free
+ *                          list and live slots; every handle in the fetch
+ *                          queues, ROBs, IQ, LSQs and completion wheel
+ *                          points at a live slot, each live slot is held
+ *                          by exactly one fetch queue or ROB, and IQ, LSQ
+ *                          and wheel entries are ROB-resident
  *
  * Enabled via MachineConfig::invariantCheckCycles (the check period); the
  * test suite turns it on for every simulation through the
@@ -56,6 +62,13 @@ class AvfLedger;
  */
 void checkInvariants(const SmtCore &core, const AvfLedger &ledger,
                      Cycle now);
+
+/**
+ * slots.ownership where nothing may be in flight — after
+ * SmtCore::finalizeAvf and at a drained checkpoint boundary: every
+ * instruction slot is back on the free list.
+ */
+void checkSlotsReleased(const SmtCore &core, Cycle now);
 
 } // namespace smtavf
 

@@ -321,6 +321,8 @@ Simulator::drainPipeline(LoopState &ls, AvfTimeline *timeline,
             SMTAVF_FATAL("pipeline failed to drain within ", bound,
                          " cycles (mix ", mix_.name, ")");
     }
+    if (cfg_.invariantCheckCycles > 0)
+        checkSlotsReleased(*core_, core_->now());
     core_->setFetchEnabled(true);
     // Instructions committed during the drain: refresh the watchdog so it
     // times the post-boundary window, not the boundary itself.
@@ -526,6 +528,8 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
 
     Cycle end = core_->now();
     core_->finalizeAvf();
+    if (cfg_.invariantCheckCycles > 0)
+        checkSlotsReleased(*core_, end);
     hier_.finalize(end);
     if (timeline)
         timeline->finish(end);

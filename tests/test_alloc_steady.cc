@@ -265,6 +265,25 @@ TEST(AllocProfile, ResetIsAllocationFree)
     EXPECT_LE(used_reset, kResetAllocBudget);
 }
 
+/**
+ * Arena slabs are private mappings kept in a per-thread cache, so the
+ * next arena on the same thread (the next Simulator a campaign worker
+ * builds) reuses the freed slab: no heap call and no fresh pages.
+ */
+TEST(AllocProfile, SecondArenaReusesFreedSlab)
+{
+    void *first;
+    {
+        Arena a;
+        first = a.allocate(64, 64);
+    }
+    std::uint64_t t0 = g_allocCount.load(std::memory_order_relaxed);
+    Arena b;
+    void *second = b.allocate(64, 64);
+    EXPECT_EQ(g_allocCount.load(std::memory_order_relaxed) - t0, 0u);
+    EXPECT_EQ(second, first);
+}
+
 TEST(AllocSteadyState, HookCountsAllocations)
 {
     std::uint64_t before = g_allocCount.load(std::memory_order_relaxed);

@@ -42,8 +42,9 @@ TEST_P(CoreWhitebox, PerCycleInvariantsHold)
             // Correct-path in-flight never exceeds total in-flight.
             ASSERT_LE(core.inFlightCorrectPath(t), core.inFlightCount(t));
             // IQ occupancy is part of the in-flight count.
-            ASSERT_LE(core.iqOccupancy(t), core.inFlightCount(t));
-            iq_total += core.iqOccupancy(t);
+            ASSERT_LE(core.structOccupancy(HwStruct::IQ, t),
+                      core.inFlightCount(t));
+            iq_total += core.structOccupancy(HwStruct::IQ, t);
             committed_sum += core.committed(t);
         }
         // The shared IQ never overflows and per-thread shares sum to it.

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "avf/dead_code.hh"
+#include "avf/injection.hh"
 #include "test_util.hh"
 
 namespace smtavf
@@ -13,17 +14,25 @@ namespace smtavf
 namespace
 {
 
-InstPtr
+DynInstr
 makeInstr(ThreadId tid, RegIndex dest, RegIndex src1 = invalidReg,
           RegIndex src2 = invalidReg)
 {
-    auto in = std::make_shared<DynInstr>();
-    in->tid = tid;
-    in->op = OpClass::IntAlu;
-    in->destReg = dest;
-    in->srcReg1 = src1;
-    in->srcReg2 = src2;
+    DynInstr in;
+    in.tid = tid;
+    in.op = OpClass::IntAlu;
+    in.destReg = dest;
+    in.srcReg1 = src1;
+    in.srcReg2 = src2;
     return in;
+}
+
+/** FDD verdict the analyzer recorded for the @p i-th commit. */
+bool
+deadAt(CommitTrace &trace, std::size_t i)
+{
+    trace.finalize();
+    return trace.records().at(i).destDead;
 }
 
 class DeadCodeTest : public ::testing::Test
@@ -32,16 +41,20 @@ class DeadCodeTest : public ::testing::Test
     DeadCodeTest() : ledger(2), analyzer(2, ledger, true)
     {
         ledger.setStructureBits(HwStruct::ROB, 1000);
+        analyzer.recordCommits(&trace);
     }
 
     void
-    attachInterval(const InstPtr &in, Cycle start, Cycle end)
+    attachInterval(DynInstr &in, Cycle start, Cycle end)
     {
-        in->pending.push_back({HwStruct::ROB, 10, start, end});
+        in.pending.push_back({HwStruct::ROB, 10, start, end});
     }
+
+    bool dead(std::size_t i) { return deadAt(trace, i); }
 
     AvfLedger ledger;
     DeadCodeAnalyzer analyzer;
+    CommitTrace trace;
 };
 
 TEST_F(DeadCodeTest, OverwriteWithoutReadIsDead)
@@ -52,7 +65,7 @@ TEST_F(DeadCodeTest, OverwriteWithoutReadIsDead)
 
     auto b = makeInstr(0, 5); // overwrites r5, nobody read it
     EXPECT_TRUE(analyzer.onCommit(b));
-    EXPECT_TRUE(a->destDead);
+    EXPECT_TRUE(dead(0));
     EXPECT_EQ(analyzer.deadInstructions(), 1u);
     // a's interval resolved un-ACE.
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 0u);
@@ -67,7 +80,7 @@ TEST_F(DeadCodeTest, ReadBeforeOverwriteIsLive)
 
     auto reader = makeInstr(0, 6, 5);
     analyzer.onCommit(reader);
-    EXPECT_FALSE(a->destDead);
+    EXPECT_FALSE(dead(0));
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 100u);
 
     auto b = makeInstr(0, 5);
@@ -83,7 +96,7 @@ TEST_F(DeadCodeTest, ReadAndRewriteSameRegisterIsLive)
     // r5 = r5 + 1: reads the old value, then displaces it.
     auto b = makeInstr(0, 5, 5);
     EXPECT_FALSE(analyzer.onCommit(b));
-    EXPECT_FALSE(a->destDead);
+    EXPECT_FALSE(dead(0));
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 100u);
 }
 
@@ -109,24 +122,24 @@ TEST_F(DeadCodeTest, ThreadsAreIndependent)
 
     auto b0 = makeInstr(0, 5);
     EXPECT_TRUE(analyzer.onCommit(b0)) << "thread 0's r5 was never read";
-    EXPECT_TRUE(a0->destDead);
-    EXPECT_FALSE(a1->destDead);
+    EXPECT_TRUE(dead(0));
+    EXPECT_FALSE(dead(1));
 }
 
 TEST_F(DeadCodeTest, NonWritersResolveImmediately)
 {
     auto store = makeInstr(0, invalidReg, 3, 4);
-    store->op = OpClass::Store;
+    store.op = OpClass::Store;
     attachInterval(store, 0, 20);
     analyzer.onCommit(store);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 200u);
-    EXPECT_TRUE(store->pending.empty());
+    EXPECT_TRUE(store.pending.empty());
 }
 
 TEST_F(DeadCodeTest, NopsResolveUnAce)
 {
     auto nop = makeInstr(0, invalidReg);
-    nop->op = OpClass::Nop;
+    nop.op = OpClass::Nop;
     attachInterval(nop, 0, 10);
     analyzer.onCommit(nop);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 0u);
@@ -136,7 +149,7 @@ TEST_F(DeadCodeTest, NopsResolveUnAce)
 TEST_F(DeadCodeTest, SquashedInstructionsAreUnAce)
 {
     auto a = makeInstr(0, 5);
-    a->squashed = true;
+    a.squashed = true;
     attachInterval(a, 0, 10);
     analyzer.onSquash(a);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 0u);
@@ -156,7 +169,7 @@ TEST_F(DeadCodeTest, FinishResolvesPendingAsLive)
     attachInterval(a, 0, 10);
     analyzer.onCommit(a);
     analyzer.finish();
-    EXPECT_FALSE(a->destDead);
+    EXPECT_FALSE(dead(0));
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 100u);
 }
 
@@ -181,15 +194,17 @@ TEST(DeadCodeDisabled, EverythingResolvesLiveImmediately)
     AvfLedger ledger(1);
     ledger.setStructureBits(HwStruct::ROB, 1000);
     DeadCodeAnalyzer analyzer(1, ledger, false);
+    CommitTrace trace;
+    analyzer.recordCommits(&trace);
 
     auto a = makeInstr(0, 5);
-    a->pending.push_back({HwStruct::ROB, 10, 0, 10});
+    a.pending.push_back({HwStruct::ROB, 10, 0, 10});
     analyzer.onCommit(a);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 100u);
 
     auto b = makeInstr(0, 5); // would kill a with analysis enabled
     EXPECT_FALSE(analyzer.onCommit(b));
-    EXPECT_FALSE(a->destDead);
+    EXPECT_FALSE(deadAt(trace, 0));
     EXPECT_EQ(analyzer.deadInstructions(), 0u);
 }
 
@@ -200,8 +215,8 @@ TEST(DeadCodeWrongPath, WrongPathResolvesUnAceEvenIfLive)
     DeadCodeAnalyzer analyzer(1, ledger, true);
 
     auto a = makeInstr(0, 5);
-    a->wrongPath = true;
-    a->pending.push_back({HwStruct::ROB, 10, 0, 10});
+    a.wrongPath = true;
+    a.pending.push_back({HwStruct::ROB, 10, 0, 10});
     analyzer.onSquash(a);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 0u);
     EXPECT_EQ(ledger.unAceBitCycles(HwStruct::ROB), 100u);
@@ -220,7 +235,7 @@ TEST_F(DeadCodeTest, ResolveLiveForwardsAllPendingIntervals)
     attachInterval(a, 20, 25); // a second residency (e.g. replay)
     analyzer.resolveLive(a);
     EXPECT_EQ(ledger.aceBitCycles(HwStruct::ROB), 100u + 50u);
-    EXPECT_TRUE(a->pending.empty());
+    EXPECT_TRUE(a.pending.empty());
 }
 
 TEST_F(DeadCodeTest, DeadIntervalsNeverReachProtectionTallies)

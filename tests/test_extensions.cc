@@ -77,7 +77,7 @@ TEST(IqPartitioning, PartitionIsEnforcedAtDispatch)
     for (int i = 0; i < 3000; ++i) {
         core.tick();
         for (ThreadId t = 0; t < 4; ++t)
-            ASSERT_LE(core.iqOccupancy(t), 24u);
+            ASSERT_LE(core.structOccupancy(HwStruct::IQ, t), 24u);
     }
 }
 

@@ -14,23 +14,23 @@ namespace smtavf
 namespace
 {
 
-InstPtr
+DynInstr
 rec(ThreadId tid, OpClass op, RegIndex dest, RegIndex src1 = invalidReg,
     RegIndex src2 = invalidReg, Addr addr = 0, std::uint8_t size = 0)
 {
-    auto in = std::make_shared<DynInstr>();
-    in->tid = tid;
-    in->op = op;
-    in->destReg = dest;
-    in->srcReg1 = src1;
-    in->srcReg2 = src2;
-    in->memAddr = addr;
-    in->memSize = size;
+    DynInstr in;
+    in.tid = tid;
+    in.op = op;
+    in.destReg = dest;
+    in.srcReg1 = src1;
+    in.srcReg2 = src2;
+    in.memAddr = addr;
+    in.memSize = size;
     return in;
 }
 
 CommitTrace
-makeTrace(std::initializer_list<InstPtr> instrs)
+makeTrace(std::initializer_list<DynInstr> instrs)
 {
     CommitTrace t;
     for (const auto &in : instrs)

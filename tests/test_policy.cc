@@ -59,14 +59,14 @@ class FakeContext : public PolicyContext
     unsigned n_;
 };
 
-InstPtr
+DynInstr
 makeLoad(ThreadId tid, SeqNum seq, Addr pc)
 {
-    auto in = std::make_shared<DynInstr>();
-    in->tid = tid;
-    in->seq = seq;
-    in->pc = pc;
-    in->op = OpClass::Load;
+    DynInstr in;
+    in.tid = tid;
+    in.seq = seq;
+    in.pc = pc;
+    in.op = OpClass::Load;
     return in;
 }
 
