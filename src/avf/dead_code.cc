@@ -41,7 +41,7 @@ DeadCodeAnalyzer::resolve(Producer &p, bool dead)
         if (dead)
             ++deadCount_;
     }
-    if (dead && trace_)
+    if (dead && trace_ && p.traceIdx != noRecord)
         trace_->markDead(p.traceIdx);
     p.parked = false;
 }
@@ -50,7 +50,7 @@ bool
 DeadCodeAnalyzer::onCommit(DynInstr &in)
 {
     auto &slots = pending_.at(in.tid);
-    std::size_t trace_idx = trace_ ? trace_->append(in) : 0;
+    std::size_t trace_idx = trace_ ? trace_->append(in) : noRecord;
 
     // Reads first: a committed consumer proves its producer live. An
     // instruction that reads and rewrites the same register (common) must

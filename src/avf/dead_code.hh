@@ -117,7 +117,7 @@ class DeadCodeAnalyzer
     struct Producer
     {
         SmallVec<PendingInterval, 6> pending;
-        std::size_t traceIdx = 0; ///< its CommitTrace record, if recording
+        std::size_t traceIdx = 0; ///< its CommitTrace record, or noRecord
         ThreadId tid = invalidThread;
         bool ace = false;         ///< ACE-eligible (not neverAce())
         bool parked = false;      ///< this table entry is occupied
@@ -128,6 +128,9 @@ class DeadCodeAnalyzer
                  bool ace);
 
     void resolve(Producer &p, bool dead);
+
+    /** Trace index of a commit made while no trace was recording. */
+    static constexpr std::size_t noRecord = ~std::size_t{0};
 
     AvfLedger &ledger_;
     bool enabled_;
