@@ -111,6 +111,8 @@ class Arena
     {
       public:
         SlabCache() : head_(nullptr), cached_(0) {}
+        SlabCache(const SlabCache &) = delete;
+        SlabCache &operator=(const SlabCache &) = delete;
 
         ~SlabCache()
         {

@@ -58,8 +58,10 @@ class InstrSlots
     reset()
     {
         free_ = nullptr;
-        for (std::size_t i = slots_.size(); i-- > 0;)
-            release(&slots_[i]);
+        for (std::size_t i = slots_.size(); i-- > 0;) {
+            slots_[i].completionNext = free_;
+            free_ = &slots_[i];
+        }
         live_ = 0;
     }
 

@@ -79,7 +79,11 @@ class SmtCore final : public PolicyContext
      */
     void reset(const MachineConfig &cfg);
 
-    /** Close residual AVF intervals (registers, pending deadness). */
+    /**
+     * End of run: close residual AVF intervals (registers, pending
+     * deadness) and free every in-flight instruction's slot. Afterwards
+     * the core only reports statistics until reset().
+     */
     void finalizeAvf();
 
     /**
@@ -406,9 +410,11 @@ class SmtCore final : public PolicyContext
             for (DynInstr **at = &head; *at; at = &(*at)->completionNext) {
                 if (*at == in) {
                     *at = in->completionNext;
-                    tail = tail == in ? prev : tail;
+                    if (tail == in)
+                        tail = prev;
                     in->completionNext = nullptr;
-                    return squashed = true;
+                    squashed = true;
+                    return true;
                 }
                 prev = *at;
             }
