@@ -560,7 +560,6 @@ SmtCore::fetchThread(ThreadId tid, unsigned budget)
         }
 
         in->seq = ++th.seqCounter;
-        in->fetchCycle = now_;
         if (th.wrongPathMode) {
             ++wrongPathFetched_;
             ++th.wrongPathFrontIq;

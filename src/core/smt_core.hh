@@ -108,20 +108,16 @@ class SmtCore final : public PolicyContext
     void boundaryResolveDeadness() { analyzer_.finish(); }
 
     /**
-     * True when no instruction is in flight anywhere: front-end queues,
-     * ROBs and the shared IQ empty (per-thread LSQ emptiness follows from
-     * ROB emptiness), no completion event scheduled, no policy notice
-     * undelivered. The drained-boundary predicate of checkpoint capture.
+     * True when no instruction is in flight anywhere — no live slot, so
+     * every fetch queue, ROB, IQ and LSQ is empty (slots.ownership) —
+     * and no completion event, not even a squashed one, is scheduled.
+     * The drained-boundary predicate of checkpoint capture.
      */
     bool
     pipelineEmpty() const
     {
-        if (iq_.size() != 0 || !overflow_.empty() ||
-            !pendingNotices_.empty())
+        if (slots_.live() != 0 || !overflow_.empty())
             return false;
-        for (const auto &thp : threads_)
-            if (!thp->frontQueue.empty() || thp->rob.size() != 0)
-                return false;
         for (const auto &b : wheel_)
             if (b.head || b.squashed)
                 return false;
@@ -382,9 +378,9 @@ class SmtCore final : public PolicyContext
      * DynInstr::completionNext: append is O(1) via the tail pointer and
      * the chain borrows the instructions' own storage, so scheduling
      * allocates nothing no matter how many events pile onto one cycle.
-     * A squash unlinks its events (freeing their slots at once) but sets
-     * `squashed`, so the cycle still counts as scheduled until it drains
-     * and drain boundaries land where they always did.
+     * A squash unlinks its events so their slots free at once, but sets
+     * `squashed`: pipelineEmpty() must see the cycle as scheduled until
+     * it drains, or drain boundaries (and so checkpoints) would move.
      */
     struct CompletionList
     {

@@ -141,7 +141,6 @@ struct DynInstr
     bool inIq = false;
     bool issued = false;
     bool completed = false;
-    Cycle fetchCycle = 0;
     Cycle dispatchCycle = 0;
     Cycle issueCycle = 0;
     Cycle completeCycle = 0; ///< set when issue schedules the completion
