@@ -118,9 +118,9 @@ class SlabPool
 
 /**
  * std::allocator adapter over a shared SlabPool. Single-element
- * allocations (a container's node type) come from the pool; array allocations (e.g. a hash table's bucket array)
- * fall through to the global allocator, which only happens on container
- * growth.
+ * allocations (a container's node type) come from the pool; array
+ * allocations (e.g. a hash table's bucket array) fall through to the
+ * global allocator, which only happens on container growth.
  */
 template <typename T>
 class PoolAlloc

@@ -1,8 +1,8 @@
 /**
  * @file
  * Steady-state allocation audit: after a warm-up period, the simulator's
- * tick loop must perform no global heap allocation. The DynInstr slab
- * pool, the completion wheel, the flat IQ, the ring-buffered queues and
+ * tick loop must perform no global heap allocation. The instruction
+ * slots, the completion wheel, the flat IQ, the ring-buffered queues and
  * the reused scratch vectors exist precisely so the hot loop recycles
  * memory instead of going to the allocator; this test pins that property
  * so a regression (a stray std::map node, a vector that lost its
@@ -116,15 +116,15 @@ namespace
  * docs/PERFORMANCE.md plus headroom. Allocation *counts*, not bytes —
  * the campaign cost that scales with run count is allocator round
  * trips, not footprint. Setup dropped from 138 to 7 when construction
- * moved onto the per-simulator arena (base/arena.hh): what remains is
- * the arena's slab vector and first slab, the shared slab pools, and a
- * couple of profile-string copies. The ≤10 ceiling is an acceptance
- * criterion, not a headroom number — a new setup-time container that
- * misses the arena should fail this gate.
+ * moved onto the per-simulator arena (base/arena.hh), and to 3 once the
+ * arena's slabs became cached private mappings: what remains is the
+ * MSHR slab pool and a couple of profile-string copies. The ≤10
+ * ceiling is an acceptance criterion, not a headroom number — a new
+ * setup-time container that misses the arena should fail this gate.
  */
-constexpr std::uint64_t kSetupAllocBudget = 10;    // measured 7
+constexpr std::uint64_t kSetupAllocBudget = 10;    // measured 3
 constexpr std::uint64_t kResetAllocBudget = 0;     // reset is free, always
-constexpr std::uint64_t kCaptureAllocBudget = 64;  // measured 40
+constexpr std::uint64_t kCaptureAllocBudget = 64;  // measured 35
 constexpr std::uint64_t kRestoreAllocBudget = 8;   // measured 3
 constexpr std::uint64_t kTeardownAllocBudget = 4;  // measured 0
 
