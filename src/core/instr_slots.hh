@@ -30,6 +30,10 @@ class InstrSlots
   public:
     explicit InstrSlots(std::size_t capacity) : slots_(capacity) { reset(); }
 
+    // The free list points into slots_: a copy would alias the original.
+    InstrSlots(const InstrSlots &) = delete;
+    InstrSlots &operator=(const InstrSlots &) = delete;
+
     /** A free slot holding a copy of @p proto; panics past capacity. */
     DynInstr *
     acquire(const DynInstr &proto)
