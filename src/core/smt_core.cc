@@ -232,7 +232,7 @@ SmtCore::clearInFlight()
         th.outL2D = 0;
     }
     iq_.reset();
-    // Same-size assign and clearing an empty map allocate nothing.
+    // A same-size assign and clear() allocate nothing.
     wheel_.assign(wheel_.size(), CompletionList{});
     overflow_.clear();
     pendingNotices_.clear();
