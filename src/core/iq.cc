@@ -11,6 +11,7 @@ IssueQueue::IssueQueue(std::uint32_t capacity)
     if (capacity == 0)
         SMTAVF_FATAL("IQ capacity must be positive");
     entries_.reserve(capacity);
+    keys_.reserve(capacity);
 }
 
 void
@@ -21,16 +22,19 @@ IssueQueue::insert(DynInstr *in)
     if (!entries_.empty() && entries_.back()->globalSeq >= in->globalSeq)
         SMTAVF_PANIC("IQ insert out of global dispatch order");
     entries_.push_back(in);
+    keys_.push_back({in->srcPhys1, in->op == OpClass::Store ? invalidReg
+                                                            : in->srcPhys2});
     in->inIq = true;
 }
 
 void
 IssueQueue::remove(const DynInstr *in)
 {
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if (*it == in) {
-            (*it)->inIq = false;
-            entries_.erase(it);
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+        if (entries_[i] == in) {
+            entries_[i]->inIq = false;
+            entries_.erase(entries_.begin() + i);
+            keys_.erase(keys_.begin() + i);
             return;
         }
     }
@@ -38,18 +42,22 @@ IssueQueue::remove(const DynInstr *in)
 }
 
 void
-IssueQueue::removeIssued()
+IssueQueue::removeAt(const std::uint32_t *pos, std::uint32_t n)
 {
-    auto out = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-        if ((*it)->issued) {
-            (*it)->inIq = false;
-        } else {
-            *out = *it;
-            ++out;
+    if (n == 0)
+        return;
+    const std::uint32_t size = static_cast<std::uint32_t>(entries_.size());
+    std::uint32_t out = pos[0];
+    for (std::uint32_t k = 0; k < n; ++k) {
+        entries_[pos[k]]->inIq = false;
+        std::uint32_t next = k + 1 < n ? pos[k + 1] : size;
+        for (std::uint32_t i = pos[k] + 1; i < next; ++i, ++out) {
+            entries_[out] = entries_[i];
+            keys_[out] = keys_[i];
         }
     }
-    entries_.erase(out, entries_.end());
+    entries_.resize(out);
+    keys_.resize(out);
 }
 
 } // namespace smtavf

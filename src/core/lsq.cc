@@ -28,6 +28,9 @@ Lsq::popCommitted(const DynInstr *in)
     if (entries_.empty() || entries_.front() != in)
         SMTAVF_PANIC("LSQ commit out of order");
     entries_.pop_front();
+    // A cursor no probe has moved yet is still at the head.
+    if (cursor_ > 0)
+        --cursor_;
 }
 
 void
@@ -35,6 +38,8 @@ Lsq::squashAfter(SeqNum seq)
 {
     while (!entries_.empty() && entries_.back()->seq > seq)
         entries_.pop_back();
+    if (cursor_ > entries_.size())
+        cursor_ = entries_.size();
 }
 
 } // namespace smtavf

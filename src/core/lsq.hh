@@ -37,44 +37,58 @@ class Lsq
 
     /**
      * Disambiguation test: true when every store older than @p load has
-     * issued (addresses and data known). Inline: probed once per pending
-     * load per cycle by the issue stage.
+     * issued (addresses and data known). One sequence-number compare
+     * against the oldest unissued store, found by moving a cursor
+     * lazily past issued stores and non-stores: stores only ever become
+     * issued, so the cursor passes each entry once between commits.
      */
     bool
-    loadMayIssue(const DynInstr *load) const
+    loadMayIssue(const DynInstr *load)
     {
-        for (const auto &e : entries_) {
-            if (e->seq >= load->seq)
-                break;
-            if (e->op == OpClass::Store && !e->issued)
-                return false;
-        }
-        return true;
+        while (cursor_ < entries_.size() &&
+               (entries_[cursor_]->op != OpClass::Store ||
+                entries_[cursor_]->issued))
+            ++cursor_;
+        return cursor_ == entries_.size() ||
+               entries_[cursor_]->seq > load->seq;
     }
 
     /**
-     * Forwarding test: true when the youngest older store overlapping the
-     * load's bytes can supply the data directly (no cache access needed).
+     * Forwarding test: true when an issued store older than the load
+     * overlaps its bytes and so supplies the data directly (no cache
+     * access needed). The select stage asks only after loadMayIssue, so
+     * every older store has issued and the first overlap decides.
      */
     bool
     canForward(const DynInstr *load) const
     {
-        bool forward = false;
         for (const auto &e : entries_) {
             if (e->seq >= load->seq)
                 break;
             if (e->op == OpClass::Store && e->issued && overlaps(*e, *load))
-                forward = true; // youngest older overlapping store wins
+                return true;
         }
-        return forward;
+        return false;
     }
+
+    /**
+     * Position of the oldest store not yet known to have issued: every
+     * entry before it is a non-store or an issued store (invariant
+     * checker). At most size().
+     */
+    std::size_t cursor() const { return cursor_; }
 
     /** Iterate oldest to youngest (invariant checker, diagnostics). */
     auto begin() const { return entries_.begin(); }
     auto end() const { return entries_.end(); }
 
     /** Worker-reuse hook: empty the ring, capacity retained. */
-    void reset() { entries_.reset(); }
+    void
+    reset()
+    {
+        entries_.reset();
+        cursor_ = 0;
+    }
 
   private:
     static bool
@@ -88,6 +102,8 @@ class Lsq
     std::uint32_t capacity_;
     /** Ring sized to capacity up front: no allocation after construction. */
     RingBuffer<DynInstr *> entries_;
+    /** See cursor(); advanced by loadMayIssue. */
+    std::size_t cursor_ = 0;
 };
 
 } // namespace smtavf

@@ -9,11 +9,12 @@ PhysRegFile::PhysRegFile(std::uint32_t num_int, std::uint32_t num_fp,
                          AvfLedger &ledger, bool alloc_unace,
                          bool dead_aware)
     : numInt_(num_int), numFp_(num_fp), freeInt_(num_int), freeFp_(num_fp),
-      regs_(num_int + num_fp), ledger_(ledger), allocUnace_(alloc_unace),
-      deadAware_(dead_aware)
+      regs_(num_int + num_fp), ready_(num_int + num_fp + 1),
+      ledger_(ledger), allocUnace_(alloc_unace), deadAware_(dead_aware)
 {
     if (num_int == 0 || num_fp == 0)
         SMTAVF_FATAL("register pool needs both int and fp registers");
+    clearReady();
     freeIntList_.reserve(num_int);
     freeFpList_.reserve(num_fp);
     // Pop from the back; seed so low indices come out first.
@@ -32,6 +33,7 @@ PhysRegFile::reset()
     freeFp_ = numFp_;
     allocatedBy_.fill(0);
     regs_.assign(regs_.size(), Reg{});
+    clearReady();
     freeIntList_.clear();
     freeFpList_.clear();
     // Same seeding as the constructor: pop from the back, low indices first.
@@ -41,6 +43,13 @@ PhysRegFile::reset()
         freeFpList_.push_back(
             static_cast<RegIndex>(numInt_ + numFp_ - 1 - i));
     ledger_.setStructureBits(HwStruct::RegFile, totalBits());
+}
+
+void
+PhysRegFile::clearReady()
+{
+    ready_.assign(ready_.size(), 0);
+    ready_[0] = 1; // invalidReg
 }
 
 std::uint64_t
@@ -63,7 +72,8 @@ PhysRegFile::alloc(bool fp, ThreadId tid, Cycle now)
     auto &r = regs_.at(phys);
     if (r.allocated)
         SMTAVF_PANIC("allocating an already-allocated register ", phys);
-    r = {true, false, tid, now, now, now};
+    r = {true, tid, now, now, now};
+    ready_[phys + 1] = 0;
     ++allocatedBy_[tid];
     return phys;
 }
@@ -74,7 +84,7 @@ PhysRegFile::markWritten(RegIndex phys, Cycle now)
     auto &r = regs_.at(phys);
     if (!r.allocated)
         SMTAVF_PANIC("writeback to unallocated register ", phys);
-    r.written = true;
+    ready_[phys + 1] = 1;
     r.wbCycle = now;
     r.lastRead = now;
 }
@@ -92,10 +102,11 @@ PhysRegFile::noteRead(RegIndex phys, Cycle read_cycle)
 }
 
 void
-PhysRegFile::emitIntervals(Reg &r, Cycle now, bool producer_dead,
+PhysRegFile::emitIntervals(RegIndex phys, Cycle now, bool producer_dead,
                            bool squashed)
 {
-    if (squashed || !r.written) {
+    const Reg &r = regs_[phys];
+    if (squashed || !isReady(phys)) {
         // Never carried committed data: the whole residency is un-ACE.
         ledger_.addInterval(HwStruct::RegFile, r.tid, bits::physReg,
                             r.allocCycle, now, false);
@@ -129,15 +140,12 @@ PhysRegFile::emitIntervals(Reg &r, Cycle now, bool producer_dead,
 }
 
 void
-PhysRegFile::release(RegIndex phys, Cycle now, bool producer_dead)
+PhysRegFile::freeReg(RegIndex phys)
 {
-    auto &r = regs_.at(phys);
-    if (!r.allocated)
-        SMTAVF_PANIC("releasing unallocated register ", phys);
-    emitIntervals(r, now, producer_dead, false);
+    auto &r = regs_[phys];
     --allocatedBy_[r.tid];
     r.allocated = false;
-    r.written = false;
+    ready_[phys + 1] = 0;
     bool fp = static_cast<std::uint32_t>(phys) >= numInt_;
     if (fp) {
         freeFpList_.push_back(phys);
@@ -146,35 +154,34 @@ PhysRegFile::release(RegIndex phys, Cycle now, bool producer_dead)
         freeIntList_.push_back(phys);
         ++freeInt_;
     }
+}
+
+void
+PhysRegFile::release(RegIndex phys, Cycle now, bool producer_dead)
+{
+    if (!regs_.at(phys).allocated)
+        SMTAVF_PANIC("releasing unallocated register ", phys);
+    emitIntervals(phys, now, producer_dead, false);
+    freeReg(phys);
 }
 
 void
 PhysRegFile::releaseSquashed(RegIndex phys, Cycle now)
 {
-    auto &r = regs_.at(phys);
-    if (!r.allocated)
+    if (!regs_.at(phys).allocated)
         SMTAVF_PANIC("squash-releasing unallocated register ", phys);
-    emitIntervals(r, now, false, true);
-    --allocatedBy_[r.tid];
-    r.allocated = false;
-    r.written = false;
-    bool fp = static_cast<std::uint32_t>(phys) >= numInt_;
-    if (fp) {
-        freeFpList_.push_back(phys);
-        ++freeFp_;
-    } else {
-        freeIntList_.push_back(phys);
-        ++freeInt_;
-    }
+    emitIntervals(phys, now, false, true);
+    freeReg(phys);
 }
 
 void
 PhysRegFile::finalizeAll(Cycle now)
 {
-    for (auto &r : regs_) {
+    for (std::size_t i = 0; i < regs_.size(); ++i) {
+        auto &r = regs_[i];
         if (!r.allocated)
             continue;
-        if (r.written) {
+        if (ready_[i + 1]) {
             if (allocUnace_)
                 ledger_.addInterval(HwStruct::RegFile, r.tid, bits::physReg,
                                     r.allocCycle, r.wbCycle, false);

@@ -27,6 +27,7 @@
 #include "avf/ledger.hh"
 #include "base/arena.hh"
 #include "base/types.hh"
+#include "ckpt/serializer.hh"
 
 namespace smtavf
 {
@@ -60,16 +61,16 @@ class PhysRegFile
     /** Value written at writeback: becomes ready for consumers. */
     void markWritten(RegIndex phys, Cycle now);
 
+    /** True once the value has been written (wakeup test). */
+    bool isReady(RegIndex phys) const { return readyByPhys()[phys]; }
+
     /**
-     * True once the value has been written (wakeup test). Inline: the
-     * issue stage probes every IQ entry's sources every cycle, making
-     * this the single hottest call in the simulator.
+     * The dense ready table, indexed by physical register: 1 once the
+     * value is written, 0 before, and 1 at index invalidReg (-1), so a
+     * missing operand never waits. The issue stage's wakeup pass reads
+     * only this array and the IQ's keys, never an instruction record.
      */
-    bool
-    isReady(RegIndex phys) const
-    {
-        return phys == invalidReg || regs_[phys].written;
-    }
+    const std::uint8_t *readyByPhys() const { return ready_.data() + 1; }
 
     /** A committed consumer read the value (read time = its issue). */
     void noteRead(RegIndex phys, Cycle read_cycle);
@@ -146,7 +147,27 @@ class PhysRegFile
     void
     serialize(Ar &ar)
     {
-        ar(regs_);
+        // The wire format of a vector of (allocated, written, tid,
+        // allocCycle, wbCycle, lastRead) records; `written` lives in
+        // the ready table, so the records are walked by hand.
+        std::uint64_t n = regs_.size();
+        ar(n);
+        if constexpr (Ar::loading) {
+            if (n != regs_.size())
+                throw CheckpointError("checkpoint register count mismatch");
+        }
+        for (std::size_t i = 0; i < regs_.size(); ++i) {
+            Reg &r = regs_[i];
+            bool written = ready_[i + 1];
+            ar(r.allocated);
+            ar(written);
+            ar(r.tid);
+            ar(r.allocCycle);
+            ar(r.wbCycle);
+            ar(r.lastRead);
+            if constexpr (Ar::loading)
+                ready_[i + 1] = written;
+        }
         ar(freeIntList_);
         ar(freeFpList_);
         ar(freeInt_);
@@ -162,35 +183,32 @@ class PhysRegFile
     }
 
   private:
+    /** A register's residency; whether it is written is in ready_. */
     struct Reg
     {
         bool allocated = false;
-        bool written = false;
         ThreadId tid = 0;
         Cycle allocCycle = 0;
         Cycle wbCycle = 0;
         Cycle lastRead = 0;
-
-        template <class Ar>
-        void
-        serialize(Ar &ar)
-        {
-            ar(allocated);
-            ar(written);
-            ar(tid);
-            ar(allocCycle);
-            ar(wbCycle);
-            ar(lastRead);
-        }
     };
 
-    void emitIntervals(Reg &r, Cycle now, bool producer_dead, bool squashed);
+    /** Return @p phys to its bank's free list (release, squash). */
+    void freeReg(RegIndex phys);
+
+    void emitIntervals(RegIndex phys, Cycle now, bool producer_dead,
+                       bool squashed);
+
+    /** Empty ready table: nothing written, index invalidReg ready. */
+    void clearReady();
 
     std::uint32_t numInt_;
     std::uint32_t numFp_;
     std::uint32_t freeInt_;
     std::uint32_t freeFp_;
     AVec<Reg> regs_;
+    /** Index phys + 1; see readyByPhys(). */
+    AVec<std::uint8_t> ready_;
     AVec<RegIndex> freeIntList_;
     AVec<RegIndex> freeFpList_;
     std::array<std::uint32_t, maxContexts> allocatedBy_{};

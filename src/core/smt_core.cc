@@ -22,7 +22,7 @@ SmtCore::SmtCore(const MachineConfig &cfg,
       slots_(std::size_t{cfg.contexts} * (cfg.fetchQueueSize + cfg.robSize)),
       regfile_(cfg.intPhysRegs, cfg.fpPhysRegs, ledger,
                cfg.avf.regAllocWindowUnace, cfg.avf.deadCodeAnalysis),
-      iq_(cfg.iqSize), fuPool_(cfg.fu)
+      iq_(cfg.iqSize), issuePos_(cfg.iqSize), fuPool_(cfg.fu)
 {
     cfg_.validate();
     if (streams.size() != cfg_.contexts)
@@ -363,14 +363,6 @@ SmtCore::commitStage()
 bool
 SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
 {
-    // Stores issue (generate their address) once the address operand is
-    // ready; the data operand only has to arrive by commit, which in-order
-    // commit of the older producer guarantees.
-    if (!regfile_.isReady(in->srcPhys1))
-        return false;
-    if (in->op != OpClass::Store && !regfile_.isReady(in->srcPhys2))
-        return false;
-
     auto &th = *threads_[in->tid];
     bool forwarded = false;
     if (in->op == OpClass::Load) {
@@ -388,7 +380,7 @@ SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
     in->issued = true;
     in->issueCycle = now_;
     ++th.issuedCount;
-    --th.iqCount; // the select stage compacts the IQ after its scan
+    --th.iqCount; // the select stage compacts the IQ after its loop
     if (in->wrongPath)
         --th.wrongPathFrontIq;
     in->pending.push_back({HwStruct::IQ, bits::iqEntry, in->dispatchCycle,
@@ -434,27 +426,22 @@ SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
 void
 SmtCore::issueStage()
 {
-    unsigned issued = 0;
+    // Wakeup, then select. Nothing here writes a register (markWritten
+    // runs only in processCompletions), so the woken set computed up
+    // front is the set a lazy oldest-first scan would see. Every entry
+    // was dispatched in an earlier cycle: dispatch runs after issue.
+    std::uint32_t woken =
+        iq_.wakeup(regfile_.readyByPhys(), issuePos_.data());
+    std::uint32_t issued = 0;
     unsigned mem_ports_used = 0;
-    for (DynInstr *in : iq_) {
-        if (issued >= cfg_.issueWidth)
-            break;
-        if (in->dispatchCycle >= now_)
-            continue; // dispatched this very cycle
-        // Wakeup prefilter, duplicating tryIssue's first tests: most
-        // entries wait on operands most cycles, and skipping them here
-        // keeps the common case free of the full issue-test call.
-        if (!regfile_.isReady(in->srcPhys1))
-            continue;
-        if (in->op != OpClass::Store && !regfile_.isReady(in->srcPhys2))
-            continue;
-        if (tryIssue(in, mem_ports_used))
-            ++issued;
+    for (std::uint32_t k = 0; k < woken && issued < cfg_.issueWidth; ++k) {
+        // Issued positions overwrite the woken ones in place (issued <= k).
+        if (tryIssue(iq_.at(issuePos_[k]), mem_ports_used))
+            issuePos_[issued++] = issuePos_[k];
     }
-    if (issued)
-        iq_.removeIssued();
+    iq_.removeAt(issuePos_.data(), issued);
 
-    // Deliver policy notifications now that the IQ scan is over (FLUSH may
+    // Deliver policy notifications now that the IQ is compacted (FLUSH may
     // squash, which mutates the IQ but never adds a notice).
     for (const auto &n : pendingNotices_) {
         if (!n.load->squashed)

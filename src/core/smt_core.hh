@@ -329,7 +329,10 @@ class SmtCore final : public PolicyContext
     void fetchStage();
     unsigned fetchThread(ThreadId tid, unsigned budget);
 
-    /** Try to issue one IQ entry; true on success. */
+    /**
+     * Try to issue one woken IQ entry (operands ready): memory port,
+     * disambiguation and function-unit checks; true on success.
+     */
     bool tryIssue(DynInstr *in, unsigned &mem_ports_used);
 
     /** Complete one instruction at the current cycle. */
@@ -364,6 +367,8 @@ class SmtCore final : public PolicyContext
 
     PhysRegFile regfile_;
     IssueQueue iq_;
+    /** Issue-stage scratch: woken, then issued, IQ positions. */
+    AVec<std::uint32_t> issuePos_;
     FuPool fuPool_;
     AVec<ArenaPtr<ThreadContext>> threads_;
     ArenaPtr<FetchPolicy> policy_;

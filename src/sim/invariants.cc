@@ -246,6 +246,55 @@ checkIq(const SmtCore &core, Cycle now)
 }
 
 void
+checkWakeupKeys(const SmtCore &core, Cycle now)
+{
+    const IssueQueue &iq = core.issueQueue();
+    for (std::uint32_t pos = 0; pos < iq.size(); ++pos) {
+        const DynInstr *in = iq.at(pos);
+        IssueQueue::WakeupKeys k = iq.keysAt(pos);
+        RegIndex want2 =
+            in->op == OpClass::Store ? invalidReg : in->srcPhys2;
+        if (k.src1 != in->srcPhys1 || k.src2 != want2)
+            violated(core, now, "iq.keys",
+                     detail::concat("T", in->tid, " seq ", in->seq,
+                                    " at IQ position ", pos, " has keys (",
+                                    k.src1, ", ", k.src2,
+                                    ") but sources (", in->srcPhys1, ", ",
+                                    want2, ")"));
+    }
+
+    // The ready table against each register's producer: a value is
+    // written once its in-flight producer completes, and every other
+    // allocated register was written by a producer that committed.
+    const PhysRegFile &rf = core.regfileRef();
+    const std::uint32_t total = rf.numInt() + rf.numFp();
+    std::vector<const DynInstr *> producer(total, nullptr);
+    for (unsigned t = 0; t < core.config().contexts; ++t)
+        for (const DynInstr *in : core.rob(static_cast<ThreadId>(t)))
+            if (in->destPhys != invalidReg)
+                producer[in->destPhys] = in;
+    if (!rf.isReady(invalidReg))
+        violated(core, now, "iq.keys",
+                 "the ready table's no-register entry reads not ready");
+    for (std::uint32_t p = 0; p < total; ++p) {
+        auto phys = static_cast<RegIndex>(p);
+        bool want = rf.isAllocated(phys) &&
+                    (!producer[p] || producer[p]->completed);
+        if (rf.isReady(phys) != want)
+            violated(core, now, "iq.keys",
+                     detail::concat("physical ", p, " reads ",
+                                    rf.isReady(phys) ? "ready" : "not ready",
+                                    " but is ",
+                                    !rf.isAllocated(phys) ? "free"
+                                    : producer[p] ? "produced in flight"
+                                                  : "committed",
+                                    producer[p] && producer[p]->completed
+                                        ? " (completed)"
+                                        : ""));
+    }
+}
+
+void
 checkLsq(const SmtCore &core, Cycle now)
 {
     const MachineConfig &cfg = core.config();
@@ -271,6 +320,23 @@ checkLsq(const SmtCore &core, Cycle now)
                                         prev));
             prev = in->seq;
             first = false;
+        }
+
+        // --- lsq.disambiguation: nothing unissued hides before the cursor
+        if (lsq.cursor() > lsq.size())
+            violated(core, now, "lsq.disambiguation",
+                     detail::concat("T", t, " LSQ cursor ", lsq.cursor(),
+                                    " past its ", lsq.size(), " entries"));
+        std::size_t pos = 0;
+        for (const auto &in : lsq) {
+            if (pos++ >= lsq.cursor())
+                break;
+            if (in->op == OpClass::Store && !in->issued)
+                violated(core, now, "lsq.disambiguation",
+                         detail::concat("T", t, " unissued store seq ",
+                                        in->seq, " at LSQ position ",
+                                        pos - 1, " lies before the cursor ",
+                                        lsq.cursor()));
         }
     }
 }
@@ -396,6 +462,7 @@ checkInvariants(const SmtCore &core, const AvfLedger &ledger, Cycle now)
     checkRegfile(core, now);
     checkRob(core, now);
     checkIq(core, now);
+    checkWakeupKeys(core, now);
     checkLsq(core, now);
     checkSlots(core, now);
     checkLedger(core, ledger, now);

@@ -28,8 +28,16 @@
  *                          global dispatch order, per-thread occupancy
  *                          counters consistent, partition bound respected
  *                          when MachineConfig::iqPartitioned
+ *  - iq.keys               every IQ entry's wakeup keys are its srcPhys1
+ *                          and (stores: invalidReg) srcPhys2; the dense
+ *                          ready table marks invalidReg ready, free
+ *                          registers not ready, and an allocated register
+ *                          ready iff its in-flight producer completed (or
+ *                          its producer committed)
  *  - lsq.order             per-thread LSQ holds only memory instructions,
  *                          in program order, occupancy <= capacity
+ *  - lsq.disambiguation    the LSQ cursor is at most the LSQ's size, and
+ *                          no unissued store lies before it
  *  - ledger.accounting     per structure, accumulated ACE + un-ACE
  *                          bit-cycles never exceed capacity x elapsed
  *                          cycles (bit conservation)

@@ -133,16 +133,14 @@ constexpr int kWarmupTicks = 20000;
 /** Audited window: the acceptance criterion's 10k-cycle spot check. */
 constexpr int kWindowTicks = 10000;
 
-class AllocSteadyState : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(AllocSteadyState, TickLoopIsAllocationFreeAfterWarmup)
+/** Warm @p mix under @p policy, then count a window's allocations. */
+void
+expectSteadyTickLoopAllocationFree(const char *mix, FetchPolicyKind policy)
 {
     auto cfg = table1Config(4);
-    cfg.fetchPolicy = static_cast<FetchPolicyKind>(GetParam());
+    cfg.fetchPolicy = policy;
     cfg.seed = 7;
-    Simulator sim(cfg, findMix("4ctx-mix-A"));
+    Simulator sim(cfg, findMix(mix));
     auto &core = sim.core();
 
     for (int i = 0; i < kWarmupTicks; ++i)
@@ -155,13 +153,34 @@ TEST_P(AllocSteadyState, TickLoopIsAllocationFreeAfterWarmup)
 
     EXPECT_EQ(after - before, 0u)
         << (after - before) << " global allocations in a " << kWindowTicks
-        << "-cycle steady-state window (warmup " << kWarmupTicks << ")";
+        << "-cycle steady-state window of " << mix << " (warmup "
+        << kWarmupTicks << ")";
+}
+
+class AllocSteadyState : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(AllocSteadyState, TickLoopIsAllocationFreeAfterWarmup)
+{
+    expectSteadyTickLoopAllocationFree(
+        "4ctx-mix-A", static_cast<FetchPolicyKind>(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, AllocSteadyState,
     ::testing::Values(static_cast<int>(FetchPolicyKind::Icount),
                       static_cast<int>(FetchPolicyKind::RoundRobin)));
+
+/**
+ * The memory-bound, squash-heavy path: a full IQ waiting on L2 misses
+ * drives the wakeup scratch, the IQ compaction and the LSQ cursor every
+ * cycle, and FLUSH squashes on top.
+ */
+TEST(AllocSteadyState, MemoryBoundFlushTickLoopIsAllocationFree)
+{
+    expectSteadyTickLoopAllocationFree("4ctx-mem-A", FetchPolicyKind::Flush);
+}
 
 /**
  * Heap profile of campaign setup/teardown (docs/PERFORMANCE.md records
