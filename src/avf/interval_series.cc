@@ -1,5 +1,6 @@
 #include "avf/interval_series.hh"
 
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 
@@ -8,9 +9,9 @@
 namespace smtavf
 {
 
-AvfIntervalSeries::AvfIntervalSeries(const AvfLedger &ledger,
+AvfIntervalSeries::AvfIntervalSeries(const AvfLedger &ledger, Unit unit,
                                      std::uint64_t interval)
-    : ledger_(ledger), interval_(interval)
+    : ledger_(ledger), unit_(unit), interval_(interval)
 {
     if (interval == 0)
         SMTAVF_FATAL("zero AVF sampling interval");
@@ -24,7 +25,7 @@ AvfIntervalSeries::arm(std::uint64_t committed, Cycle now)
     armed_ = true;
     rowStartInstr_ = committed;
     rowStartCycle_ = now;
-    nextBoundary_ = committed + interval_;
+    nextBoundary_ = position(committed, now) + interval_;
     for (std::size_t s = 0; s < numHwStructs; ++s) {
         auto hs = static_cast<HwStruct>(s);
         lastAce_[s] = ledger_.aceBitCycles(hs);
@@ -66,8 +67,14 @@ AvfIntervalSeries::tick(std::uint64_t committed, Cycle now)
 {
     if (!armed_)
         return;
-    while (committed >= nextBoundary_) {
-        closeRow(nextBoundary_, now);
+    // A window closes exactly at its boundary: a cycle window at the
+    // boundary cycle, an instruction window at the boundary count in the
+    // cycle whose commits crossed it.
+    while (position(committed, now) >= nextBoundary_) {
+        if (unit_ == Unit::Cycles)
+            closeRow(committed, nextBoundary_);
+        else
+            closeRow(nextBoundary_, now);
         nextBoundary_ += interval_;
     }
 }
@@ -79,9 +86,30 @@ AvfIntervalSeries::finish(std::uint64_t committed, Cycle now)
         SMTAVF_FATAL("AvfIntervalSeries finish before arm");
     // The final partial window also sweeps up the end-of-run tallies
     // (finalizeAvf closes every open residency into it).
-    if (committed > rowStartInstr_ || rows_.empty())
+    if (position(committed, now) >
+            position(rowStartInstr_, rowStartCycle_) ||
+        rows_.empty())
         closeRow(committed, now);
     armed_ = false;
+}
+
+double
+AvfIntervalSeries::variability(HwStruct s) const
+{
+    if (rows_.size() < 2)
+        return 0.0;
+    const auto i = static_cast<std::size_t>(s);
+    double sum = 0.0, sq = 0.0;
+    for (const auto &row : rows_) {
+        sum += row.avf[i];
+        sq += row.avf[i] * row.avf[i];
+    }
+    double n = static_cast<double>(rows_.size());
+    double mean = sum / n;
+    if (mean <= 0.0)
+        return 0.0;
+    double var = sq / n - mean * mean;
+    return std::sqrt(var < 0 ? 0 : var) / mean;
 }
 
 std::string

@@ -1,18 +1,28 @@
 /**
  * @file
- * Instruction-windowed AVF sampling (`--avf-interval N`): every N committed
- * instructions, close a row recording the per-structure AVF and residual
- * AVF of exactly that window. Complements avf/timeline.hh, which windows by
- * *cycles* — instruction windows line up across configurations doing the
- * same work at different IPC, which is what sampled-AVF methodology wants.
+ * Windowed AVF sampling: cut the measured window into fixed-length
+ * windows and close a row per window recording the per-structure AVF and
+ * residual AVF of exactly that window. The window unit is either
  *
- * Windows are relative to the run's measured start: instruction 0 of the
- * series is the first committed instruction after warmup (or after a
- * restore point, for a restored run — a restored run's series covers only
- * the instructions it simulated itself). Like the timeline, bit-cycles
- * land in the window where their residency interval *closes*, so the
- * per-row conservation identity is over closed intervals: the sum of every
- * row's ACE bit-cycles equals the ledger's total at finish.
+ *  - cycles (`--sample N`, MachineConfig::avfSampleCycles): the
+ *    microarchitecture vulnerability *phase behaviour* the authors study
+ *    in their companion paper (Fu, Poe, Li & Fortes, MASCOTS 2006;
+ *    reference [8] of the reproduced paper), or
+ *  - committed instructions (`--avf-interval N`): windows line up across
+ *    configurations doing the same work at different IPC, which is what
+ *    sampled-AVF methodology wants.
+ *
+ * Windows are relative to the run's measured start: window 0 opens where
+ * arm() is called — after warmup, or at the restore point of a restored
+ * run (whose series covers only what it simulated itself) — and row
+ * boundaries are absolute cycle and committed-instruction coordinates.
+ *
+ * Granularity note: the ledger books an interval's bit-cycles when the
+ * interval *closes* (commit/squash/evict), so a long-latency residency
+ * lands in the window where it resolves, and per-window values can
+ * legitimately exceed 1 right after a long stall drains. The per-row
+ * conservation identity is therefore over closed intervals: the sum of
+ * every row's ACE bit-cycles equals the ledger's total at finish.
  */
 
 #ifndef SMTAVF_AVF_INTERVAL_SERIES_HH
@@ -28,10 +38,17 @@
 namespace smtavf
 {
 
-/** Per-N-committed-instructions AVF rows. */
+/** Per-window AVF rows, windowed by cycles or committed instructions. */
 class AvfIntervalSeries
 {
   public:
+    /** What a window's length counts. */
+    enum class Unit
+    {
+        Cycles,
+        Instructions
+    };
+
     /** One closed window. */
     struct Row
     {
@@ -47,10 +64,12 @@ class AvfIntervalSeries
     };
 
     /**
-     * @param ledger   sampled ledger (must outlive the series)
-     * @param interval window length in committed instructions (> 0)
+     * @param ledger   sampled ledger (read only until finish())
+     * @param unit     what @p interval counts
+     * @param interval window length (> 0)
      */
-    AvfIntervalSeries(const AvfLedger &ledger, std::uint64_t interval);
+    AvfIntervalSeries(const AvfLedger &ledger, Unit unit,
+                      std::uint64_t interval);
 
     /**
      * Start sampling: the measured window begins at @p committed /
@@ -58,7 +77,7 @@ class AvfIntervalSeries
      */
     void arm(std::uint64_t committed, Cycle now);
 
-    /** Per-cycle check; closes rows as commit-count boundaries cross. */
+    /** Per-cycle check; closes a row at every boundary crossed. */
     void tick(std::uint64_t committed, Cycle now);
 
     /** Close the final (possibly partial) row. Call after finalizeAvf. */
@@ -67,13 +86,24 @@ class AvfIntervalSeries
     std::uint64_t interval() const { return interval_; }
     const std::vector<Row> &data() const { return rows_; }
 
+    /** Coefficient-of-variation-like spread of a structure's phases. */
+    double variability(HwStruct s) const;
+
     /** The whole series as CSV (header + one line per row). */
     std::string csv() const;
 
   private:
+    /** The coordinate a window's length counts. */
+    std::uint64_t
+    position(std::uint64_t committed, Cycle now) const
+    {
+        return unit_ == Unit::Cycles ? now : committed;
+    }
+
     void closeRow(std::uint64_t committed, Cycle now);
 
     const AvfLedger &ledger_;
+    Unit unit_;
     std::uint64_t interval_;
     bool armed_ = false;
     std::uint64_t rowStartInstr_ = 0;

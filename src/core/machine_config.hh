@@ -115,8 +115,9 @@ struct MachineConfig
     ProtectionConfig protection{};
 
     /**
-     * Sample the per-structure AVF every this many cycles into a timeline
-     * (vulnerability phase behaviour). 0 disables sampling.
+     * Sample the per-structure AVF every this many cycles of the measured
+     * window into SimResult::timeline (vulnerability phase behaviour).
+     * 0 disables sampling.
      */
     Cycle avfSampleCycles = 0;
 

@@ -20,7 +20,6 @@
 #include "avf/injection.hh"
 #include "avf/interval_series.hh"
 #include "avf/report.hh"
-#include "avf/timeline.hh"
 #include "base/stats.hh"
 #include "base/types.hh"
 
@@ -46,8 +45,8 @@ struct SimResult
     std::vector<ThreadPerf> threads;
     AvfReport avf;
     StatGroup stats; ///< miss rates, mispredict rates, dead fraction, ...
-    /** Windowed AVF samples (set when MachineConfig::avfSampleCycles). */
-    std::shared_ptr<const AvfTimeline> timeline;
+    /** Cycle-windowed AVF rows (set when MachineConfig::avfSampleCycles). */
+    std::shared_ptr<const AvfIntervalSeries> timeline;
     /** Instruction-windowed AVF rows (set by RunControls::avfInterval). */
     std::shared_ptr<const AvfIntervalSeries> avfIntervals;
     /** Commit trace (set when MachineConfig::recordCommitTrace). */

@@ -205,7 +205,7 @@ Simulator::reset(const MachineConfig &cfg, const WorkloadMix &mix)
     if (cfg_.prewarmCaches)
         prewarm();
 
-    baseline_ = RunBaseline{};
+    baseline_ = Counters{};
     restoredCommitted_ = 0;
     restored_ = false;
     ran_ = false;
@@ -254,8 +254,7 @@ Simulator::prewarm()
 }
 
 void
-Simulator::advanceUntil(std::uint64_t target, LoopState &ls,
-                        AvfTimeline *timeline, AvfIntervalSeries *series)
+Simulator::advanceUntil(std::uint64_t target, LoopState &ls)
 {
     // Livelock watchdog: a correct model always commits something within
     // the longest dependence stall (a few memory round trips). Raising a
@@ -265,10 +264,9 @@ Simulator::advanceUntil(std::uint64_t target, LoopState &ls,
 
     while (core_->totalCommitted() < target) {
         core_->tick();
-        if (timeline)
-            timeline->tick(core_->now());
-        if (series)
-            series->tick(core_->totalCommitted(), core_->now());
+        for (AvfIntervalSeries *s : ls.samplers)
+            if (s)
+                s->tick(core_->totalCommitted(), core_->now());
         // Cancel poll: bounded-interval check of the campaign's cancel
         // flag so even a run that livelocks below the watchdog horizon
         // (or simply has a huge budget) is interrupted promptly. A
@@ -301,8 +299,7 @@ Simulator::advanceUntil(std::uint64_t target, LoopState &ls,
 }
 
 void
-Simulator::drainPipeline(LoopState &ls, AvfTimeline *timeline,
-                         AvfIntervalSeries *series)
+Simulator::drainPipeline(LoopState &ls)
 {
     core_->setFetchEnabled(false);
     const Cycle start = core_->now();
@@ -313,10 +310,9 @@ Simulator::drainPipeline(LoopState &ls, AvfTimeline *timeline,
         cfg_.livelockCycles > 0 ? cfg_.livelockCycles : Cycle{2'000'000};
     while (!(core_->pipelineEmpty() && hier_.outstandingMisses() == 0)) {
         core_->tick();
-        if (timeline)
-            timeline->tick(core_->now());
-        if (series)
-            series->tick(core_->totalCommitted(), core_->now());
+        for (AvfIntervalSeries *s : ls.samplers)
+            if (s)
+                s->tick(core_->totalCommitted(), core_->now());
         if (core_->now() - start > bound)
             SMTAVF_FATAL("pipeline failed to drain within ", bound,
                          " cycles (mix ", mix_.name, ")");
@@ -330,36 +326,50 @@ Simulator::drainPipeline(LoopState &ls, AvfTimeline *timeline,
     ls.lastProgress = core_->now();
 }
 
-void
-Simulator::captureBaseline()
+Simulator::Counters
+Simulator::readCounters()
 {
-    RunBaseline b;
-    b.cycle = core_->now();
+    Counters c{};
+    c[kCycle] = core_->now();
     for (unsigned t = 0; t < cfg_.contexts; ++t) {
         auto tid = static_cast<ThreadId>(t);
-        b.committed[t] = core_->committed(tid);
-        b.branches[t] = core_->predictor(tid).branches();
-        b.mispredicts[t] = core_->predictor(tid).mispredicts();
+        c[kCommitted + t] = core_->committed(tid);
+        c[kBranches + t] = core_->predictor(tid).branches();
+        c[kMispredicts + t] = core_->predictor(tid).mispredicts();
     }
-    b.wrongPathFetched = core_->wrongPathFetched();
-    b.squashed = core_->squashedInstrs();
-    b.dl1Hits = hier_.dl1().hits();
-    b.dl1Misses = hier_.dl1().misses();
-    b.l2Hits = hier_.l2().hits();
-    b.l2Misses = hier_.l2().misses();
-    b.il1Hits = hier_.il1().hits();
-    b.il1Misses = hier_.il1().misses();
-    b.dtlbHits = hier_.dtlb().hits();
-    b.dtlbMisses = hier_.dtlb().misses();
-    b.dead = core_->deadCode().deadInstructions();
-    b.resolved = core_->deadCode().resolvedInstructions();
-    baseline_ = b;
+    c[kWrongPathFetched] = core_->wrongPathFetched();
+    c[kSquashed] = core_->squashedInstrs();
+    c[kDl1Hits] = hier_.dl1().hits();
+    c[kDl1Misses] = hier_.dl1().misses();
+    c[kL2Hits] = hier_.l2().hits();
+    c[kL2Misses] = hier_.l2().misses();
+    c[kIl1Hits] = hier_.il1().hits();
+    c[kIl1Misses] = hier_.il1().misses();
+    c[kDtlbHits] = hier_.dtlb().hits();
+    c[kDtlbMisses] = hier_.dtlb().misses();
+    c[kDead] = core_->deadCode().deadInstructions();
+    c[kResolved] = core_->deadCode().resolvedInstructions();
+    return c;
+}
+
+void
+Simulator::warmupBoundary(std::uint64_t warmup, LoopState &ls)
+{
+    advanceUntil(warmup, ls);
+    drainPipeline(ls);
+    core_->boundaryResolveDeadness();
+    ledger_.resetTallies(core_->now());
+    baseline_ = readCounters();
 }
 
 template <class Ar>
 void
 Simulator::visitState(Ar &ar)
 {
+    // The baseline leads the payload as 37 u64s (std::array has no
+    // length prefix); changing CounterIndex changes the wire shape and
+    // needs a kCheckpointVersion bump.
+    static_assert(kNumCounters == 37);
     ar(baseline_);
     ar(*core_);
     ar(hier_);
@@ -431,11 +441,7 @@ Simulator::captureWarmupCheckpoint(std::uint64_t warmup_instrs)
         SMTAVF_FATAL("checkpoints do not support stream-id overrides");
 
     LoopState ls;
-    advanceUntil(warmup_instrs, ls, nullptr, nullptr);
-    drainPipeline(ls, nullptr, nullptr);
-    core_->boundaryResolveDeadness();
-    ledger_.resetTallies(core_->now());
-    captureBaseline();
+    warmupBoundary(warmup_instrs, ls);
 
     simulatedInstructionCounter().fetch_add(core_->totalCommitted(),
                                             std::memory_order_relaxed);
@@ -461,15 +467,14 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
 
     const std::uint64_t start_committed = core_->totalCommitted();
 
-    std::shared_ptr<AvfTimeline> timeline;
+    using Unit = AvfIntervalSeries::Unit;
+    std::shared_ptr<AvfIntervalSeries> timeline, series;
     if (cfg_.avfSampleCycles > 0)
-        timeline =
-            std::make_shared<AvfTimeline>(ledger_, cfg_.avfSampleCycles);
-
-    std::shared_ptr<AvfIntervalSeries> series;
+        timeline = std::make_shared<AvfIntervalSeries>(
+            ledger_, Unit::Cycles, cfg_.avfSampleCycles);
     if (rc.avfInterval > 0)
-        series = std::make_shared<AvfIntervalSeries>(ledger_,
-                                                     rc.avfInterval);
+        series = std::make_shared<AvfIntervalSeries>(
+            ledger_, Unit::Instructions, rc.avfInterval);
 
     std::shared_ptr<CommitTrace> trace;
     if (cfg_.recordCommitTrace) {
@@ -487,16 +492,16 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     std::uint64_t rel_base = restoredCommitted_;
 
     if (rc.warmup > 0) {
-        advanceUntil(rc.warmup, ls, timeline.get(), nullptr);
-        drainPipeline(ls, timeline.get(), nullptr);
-        core_->boundaryResolveDeadness();
-        ledger_.resetTallies(core_->now());
-        captureBaseline();
+        warmupBoundary(rc.warmup, ls);
         rel_base = core_->totalCommitted();
     }
 
-    if (series)
-        series->arm(core_->totalCommitted(), core_->now());
+    // Both samplers open their first window where the measured window
+    // starts, and tick only from there on.
+    ls.samplers = {timeline.get(), series.get()};
+    for (AvfIntervalSeries *s : ls.samplers)
+        if (s)
+            s->arm(core_->totalCommitted(), core_->now());
 
     const std::uint64_t target = rel_base + instr_budget;
 
@@ -508,8 +513,8 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
         if (rc.checkpointAt >= target)
             SMTAVF_FATAL("checkpoint trigger ", rc.checkpointAt,
                          " at or beyond the run's commit target ", target);
-        advanceUntil(rc.checkpointAt, ls, timeline.get(), series.get());
-        drainPipeline(ls, timeline.get(), series.get());
+        advanceUntil(rc.checkpointAt, ls);
+        drainPipeline(ls);
         core_->boundaryResolveDeadness();
         Checkpoint ck =
             makeCheckpoint(rc.checkpointAt, /*warmup_boundary=*/false);
@@ -519,7 +524,7 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
             *rc.checkpointCapture = std::move(ck);
     }
 
-    advanceUntil(target, ls, timeline.get(), series.get());
+    advanceUntil(target, ls);
 
     // Final consistency gate before any AVF number leaves this run —
     // skipped when the last loop iteration already swept this very cycle.
@@ -531,10 +536,9 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     if (cfg_.invariantCheckCycles > 0)
         checkSlotsReleased(*core_, end);
     hier_.finalize(end);
-    if (timeline)
-        timeline->finish(end);
-    if (series)
-        series->finish(core_->totalCommitted(), end);
+    for (AvfIntervalSeries *s : ls.samplers)
+        if (s)
+            s->finish(core_->totalCommitted(), end);
     if (trace)
         trace->finalize(); // deadness verdicts are all resolved now
     ledger_.finalize(end);
@@ -547,24 +551,22 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     // a plain run — reproducing the historical whole-run numbers exactly
     // — and the boundary snapshot for a warmup run (or a run restored
     // from one), making each figure a measured-window statistic.
-    const RunBaseline &b = baseline_;
-    const Cycle win = end - b.cycle;
+    Counters d = readCounters();
+    for (std::size_t i = 0; i < kNumCounters; ++i)
+        d[i] -= baseline_[i];
+    const Cycle win = d[kCycle];
 
     SimResult r;
     r.mixName = mix_.name;
     r.policyName = fetchPolicyName(cfg_.fetchPolicy);
     r.cycles = win;
-    std::uint64_t committed_delta = 0;
     for (unsigned t = 0; t < cfg_.contexts; ++t)
-        committed_delta +=
-            core_->committed(static_cast<ThreadId>(t)) - b.committed[t];
-    r.totalCommitted = committed_delta;
+        r.totalCommitted += d[kCommitted + t];
     r.ipc = static_cast<double>(r.totalCommitted) / win;
     for (unsigned t = 0; t < cfg_.contexts; ++t) {
         ThreadPerf tp;
         tp.benchmark = mix_.benchmarks[t];
-        tp.committed =
-            core_->committed(static_cast<ThreadId>(t)) - b.committed[t];
+        tp.committed = d[kCommitted + t];
         tp.ipc = static_cast<double>(tp.committed) / win;
         r.threads.push_back(std::move(tp));
     }
@@ -576,37 +578,20 @@ Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
     auto rate = [](std::uint64_t part, std::uint64_t total) {
         return total ? static_cast<double>(part) / total : 0.0;
     };
-    r.stats.set("dl1.missRate",
-                rate(hier_.dl1().misses() - b.dl1Misses,
-                     (hier_.dl1().hits() - b.dl1Hits) +
-                         (hier_.dl1().misses() - b.dl1Misses)));
-    r.stats.set("l2.missRate",
-                rate(hier_.l2().misses() - b.l2Misses,
-                     (hier_.l2().hits() - b.l2Hits) +
-                         (hier_.l2().misses() - b.l2Misses)));
-    r.stats.set("il1.missRate",
-                rate(hier_.il1().misses() - b.il1Misses,
-                     (hier_.il1().hits() - b.il1Hits) +
-                         (hier_.il1().misses() - b.il1Misses)));
-    r.stats.set("dtlb.missRate",
-                rate(hier_.dtlb().misses() - b.dtlbMisses,
-                     (hier_.dtlb().hits() - b.dtlbHits) +
-                         (hier_.dtlb().misses() - b.dtlbMisses)));
-    r.stats.set("deadCode.fraction",
-                rate(core_->deadCode().deadInstructions() - b.dead,
-                     core_->deadCode().resolvedInstructions() - b.resolved));
+    auto miss_rate = [&](CounterIndex hits, CounterIndex misses) {
+        return rate(d[misses], d[hits] + d[misses]);
+    };
+    r.stats.set("dl1.missRate", miss_rate(kDl1Hits, kDl1Misses));
+    r.stats.set("l2.missRate", miss_rate(kL2Hits, kL2Misses));
+    r.stats.set("il1.missRate", miss_rate(kIl1Hits, kIl1Misses));
+    r.stats.set("dtlb.missRate", miss_rate(kDtlbHits, kDtlbMisses));
+    r.stats.set("deadCode.fraction", rate(d[kDead], d[kResolved]));
     r.stats.set("fetch.wrongPath",
-                static_cast<double>(core_->wrongPathFetched() -
-                                    b.wrongPathFetched));
-    r.stats.set("squashed",
-                static_cast<double>(core_->squashedInstrs() - b.squashed));
+                static_cast<double>(d[kWrongPathFetched]));
+    r.stats.set("squashed", static_cast<double>(d[kSquashed]));
     double mispredict = 0.0;
-    for (unsigned t = 0; t < cfg_.contexts; ++t) {
-        auto tid = static_cast<ThreadId>(t);
-        mispredict += rate(core_->predictor(tid).mispredicts() -
-                               b.mispredicts[t],
-                           core_->predictor(tid).branches() - b.branches[t]);
-    }
+    for (unsigned t = 0; t < cfg_.contexts; ++t)
+        mispredict += rate(d[kMispredicts + t], d[kBranches + t]);
     r.stats.set("branch.mispredictRate", mispredict / cfg_.contexts);
     return r;
 }

@@ -16,6 +16,7 @@
 #ifndef SMTAVF_SIM_SIMULATOR_HH
 #define SMTAVF_SIM_SIMULATOR_HH
 
+#include <array>
 #include <atomic>
 #include <memory>
 #include <vector>
@@ -168,48 +169,32 @@ class Simulator
 
   private:
     /**
-     * Counter snapshot at the measured-window start. All-zero for plain
-     * runs, so subtracting it reproduces whole-run statistics exactly; a
-     * warmup boundary fills it, making every SimResult figure a
-     * measured-window delta. Travels inside checkpoints so a restored
-     * run subtracts the same baseline as the run that captured it.
+     * Indices of the cumulative counters every measured-window statistic
+     * is a difference of, in checkpoint wire order. Per-thread counters
+     * take maxContexts consecutive slots (index + tid); slots of absent
+     * contexts stay zero.
      */
-    struct RunBaseline
+    enum CounterIndex : std::size_t
     {
-        Cycle cycle = 0;
-        std::array<std::uint64_t, maxContexts> committed{};
-        std::uint64_t wrongPathFetched = 0;
-        std::uint64_t squashed = 0;
-        std::uint64_t dl1Hits = 0, dl1Misses = 0;
-        std::uint64_t l2Hits = 0, l2Misses = 0;
-        std::uint64_t il1Hits = 0, il1Misses = 0;
-        std::uint64_t dtlbHits = 0, dtlbMisses = 0;
-        std::array<std::uint64_t, maxContexts> branches{};
-        std::array<std::uint64_t, maxContexts> mispredicts{};
-        std::uint64_t dead = 0, resolved = 0;
-
-        template <class Ar>
-        void
-        serialize(Ar &ar)
-        {
-            ar(cycle);
-            ar(committed);
-            ar(wrongPathFetched);
-            ar(squashed);
-            ar(dl1Hits);
-            ar(dl1Misses);
-            ar(l2Hits);
-            ar(l2Misses);
-            ar(il1Hits);
-            ar(il1Misses);
-            ar(dtlbHits);
-            ar(dtlbMisses);
-            ar(branches);
-            ar(mispredicts);
-            ar(dead);
-            ar(resolved);
-        }
+        kCycle,
+        kCommitted,
+        kWrongPathFetched = kCommitted + maxContexts,
+        kSquashed,
+        kDl1Hits,
+        kDl1Misses,
+        kL2Hits,
+        kL2Misses,
+        kIl1Hits,
+        kIl1Misses,
+        kDtlbHits,
+        kDtlbMisses,
+        kBranches,
+        kMispredicts = kBranches + maxContexts,
+        kDead = kMispredicts + maxContexts,
+        kResolved,
+        kNumCounters
     };
+    using Counters = std::array<std::uint64_t, kNumCounters>;
 
     /** Watchdog/invariant bookkeeping shared by the tick loops. */
     struct LoopState
@@ -217,24 +202,32 @@ class Simulator
         std::uint64_t lastCommitted = 0;
         Cycle lastProgress = 0;
         Cycle lastChecked = 0;
+        /** The run's armed AVF samplers (cycle, instruction windows). */
+        std::array<AvfIntervalSeries *, 2> samplers{};
     };
 
     void prewarm();
 
     /** Tick until @p target instructions committed in total. */
-    void advanceUntil(std::uint64_t target, LoopState &ls,
-                      AvfTimeline *timeline, AvfIntervalSeries *series);
+    void advanceUntil(std::uint64_t target, LoopState &ls);
 
     /**
      * Disable fetch and tick until the pipeline and MSHRs are empty
      * (bounded; SMTAVF_FATAL if quiescence is never reached), then
      * re-enable fetch.
      */
-    void drainPipeline(LoopState &ls, AvfTimeline *timeline,
-                       AvfIntervalSeries *series);
+    void drainPipeline(LoopState &ls);
 
-    /** Snapshot all cumulative counters into baseline_. */
-    void captureBaseline();
+    /** Read every cumulative counter, indexed by CounterIndex. */
+    Counters readCounters();
+
+    /**
+     * The measured window's start, shared by run()'s `--warmup` and
+     * captureWarmupCheckpoint(): commit @p warmup instructions, drain,
+     * resolve deadness at the boundary, zero the AVF tallies and take
+     * the counter baseline.
+     */
+    void warmupBoundary(std::uint64_t warmup, LoopState &ls);
 
     /** Serialize the full machine state into a Checkpoint. */
     Checkpoint makeCheckpoint(std::uint64_t at, bool warmup_boundary);
@@ -267,7 +260,14 @@ class Simulator
     ArenaPtr<CacheVulnTracker> l2Tracker_;
     AVec<ArenaPtr<StreamGenerator>> gens_;
     ArenaPtr<SmtCore> core_;
-    RunBaseline baseline_;
+    /**
+     * Counters at the measured-window start. All-zero for plain runs, so
+     * subtracting it reproduces whole-run statistics exactly; a warmup
+     * boundary fills it, making every SimResult figure a measured-window
+     * delta. Travels inside checkpoints so a restored run subtracts the
+     * same baseline as the run that captured it.
+     */
+    Counters baseline_{};
     std::uint64_t restoredCommitted_ = 0;
     bool restored_ = false;
     bool ran_ = false;

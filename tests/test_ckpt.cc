@@ -15,7 +15,9 @@
  *  - fingerprint verification: wrong seed, wrong mix and (for non-warmup
  *    checkpoints) wrong protection are rejected; warmup checkpoints are
  *    deliberately protection-agnostic;
- *  - the AVF interval series: row deltas conserve the ledger's totals.
+ *  - the windowed AVF sampler: row deltas conserve the ledger's totals,
+ *    and cycle and instruction windows both start where the measured
+ *    window starts, identically after `--warmup` and after a restore.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "avf/interval_series.hh"
 #include "avf/ledger.hh"
 #include "base/logging.hh"
 #include "ckpt/checkpoint.hh"
@@ -566,6 +569,88 @@ TEST(AvfIntervalSeries, RestoredRunUsesAbsoluteCoordinates)
     EXPECT_EQ(rows.front().startInstr, sim.restoredCommitted());
     EXPECT_EQ(rows.back().endInstr,
               sim.restoredCommitted() + r.totalCommitted);
+}
+
+/** Field-by-field equality of two sampled series. */
+void
+expectSameRows(const AvfIntervalSeries &a, const AvfIntervalSeries &b)
+{
+    ASSERT_EQ(a.data().size(), b.data().size());
+    for (std::size_t i = 0; i < a.data().size(); ++i) {
+        const auto &x = a.data()[i];
+        const auto &y = b.data()[i];
+        EXPECT_EQ(x.index, y.index) << "row " << i;
+        EXPECT_EQ(x.startInstr, y.startInstr) << "row " << i;
+        EXPECT_EQ(x.endInstr, y.endInstr) << "row " << i;
+        EXPECT_EQ(x.startCycle, y.startCycle) << "row " << i;
+        EXPECT_EQ(x.endCycle, y.endCycle) << "row " << i;
+        EXPECT_EQ(x.aceDelta, y.aceDelta) << "row " << i;
+        EXPECT_EQ(x.residualDelta, y.residualDelta) << "row " << i;
+        EXPECT_EQ(x.avf, y.avf) << "row " << i;
+        EXPECT_EQ(x.residualAvf, y.residualAvf) << "row " << i;
+    }
+}
+
+/**
+ * The rows cover exactly the measured window: the first opens at the
+ * ledger's base cycle, the last closes at the run's end, and the summed
+ * deltas equal the ledger's (measured-window) totals exactly.
+ */
+void
+expectCoversMeasuredWindow(const AvfIntervalSeries &series,
+                           const AvfLedger &ledger, const SimResult &r)
+{
+    const auto &rows = series.data();
+    ASSERT_FALSE(rows.empty());
+    EXPECT_EQ(rows.front().startCycle, ledger.baseCycle());
+    EXPECT_EQ(rows.back().endCycle, ledger.baseCycle() + r.cycles);
+    for (std::size_t s = 0; s < numHwStructs; ++s) {
+        auto hs = static_cast<HwStruct>(s);
+        std::uint64_t ace = 0, residual = 0;
+        for (const auto &row : rows) {
+            ace += row.aceDelta[s];
+            residual += row.residualDelta[s];
+        }
+        EXPECT_EQ(ace, ledger.aceBitCycles(hs)) << hwStructName(hs);
+        EXPECT_EQ(residual, ledger.residualAceBitCycles(hs))
+            << hwStructName(hs);
+    }
+}
+
+TEST(AvfIntervalSeries, WarmupAndRestoreAgreeInBothUnits)
+{
+    // Cycle windows (avfSampleCycles, part of the checkpoint fingerprint)
+    // and instruction windows side by side: a `--warmup` run and a run
+    // restored from the equivalent warmup checkpoint must sample the
+    // same measured window into the same rows.
+    constexpr std::uint64_t kWarmup = 20'000;
+    Experiment e = testExperiment("2ctx-mix-A", FetchPolicyKind::Icount);
+    e.cfg.avfSampleCycles = 1500;
+    RunControls rc;
+    rc.avfInterval = 4000;
+
+    Simulator warm(e.cfg, e.mix);
+    RunControls warm_rc = rc;
+    warm_rc.warmup = kWarmup;
+    SimResult rw = warm.run(kHalf, warm_rc);
+
+    Simulator capture(e.cfg, e.mix);
+    Checkpoint ck = capture.captureWarmupCheckpoint(kWarmup);
+    Simulator restored(e.cfg, e.mix);
+    restored.restore(ck);
+    SimResult rr = restored.run(kHalf, rc);
+
+    ASSERT_TRUE(rw.timeline && rw.avfIntervals);
+    ASSERT_TRUE(rr.timeline && rr.avfIntervals);
+    EXPECT_GT(warm.ledger().baseCycle(), 0u);
+    EXPECT_EQ(rw.timeline->data().front().startInstr,
+              restored.restoredCommitted());
+    for (const auto *series : {rw.timeline.get(), rw.avfIntervals.get()})
+        expectCoversMeasuredWindow(*series, warm.ledger(), rw);
+    for (const auto *series : {rr.timeline.get(), rr.avfIntervals.get()})
+        expectCoversMeasuredWindow(*series, restored.ledger(), rr);
+    expectSameRows(*rw.timeline, *rr.timeline);
+    expectSameRows(*rw.avfIntervals, *rr.avfIntervals);
 }
 
 TEST(SharedWarmupCampaign, ThreadModeMatchesPerRunWarmup)

@@ -87,18 +87,19 @@ TEST(AvfTimelineTest, WindowsCoverTheRun)
     cfg.avfSampleCycles = 1000;
     auto r = runMix(cfg, findMix("2ctx-mix-A"), 20000);
     ASSERT_NE(r.timeline, nullptr);
-    EXPECT_GE(r.timeline->windows(), 2u);
+    const auto &rows = r.timeline->data();
+    EXPECT_GE(rows.size(), 2u);
 
     // Windowed ACE mass sums back to the aggregate AVF.
     double total = 0;
     double cycles = 0;
-    for (std::size_t w = 0; w < r.timeline->windows(); ++w) {
+    for (std::size_t w = 0; w < rows.size(); ++w) {
         // windows are equal-length except possibly the last
-        double len = w + 1 < r.timeline->windows()
+        double len = w + 1 < rows.size()
                          ? 1000.0
                          : static_cast<double>(r.cycles) -
-                               1000.0 * (r.timeline->windows() - 1);
-        total += r.timeline->windowAvf(HwStruct::IQ, w) * len;
+                               1000.0 * (rows.size() - 1);
+        total += rows[w].avf[static_cast<std::size_t>(HwStruct::IQ)] * len;
         cycles += len;
     }
     EXPECT_NEAR(total / cycles, r.avf.avf(HwStruct::IQ), 1e-9);
@@ -125,7 +126,9 @@ TEST(AvfTimelineTest, RejectsZeroInterval)
 {
     ThrowGuard guard;
     AvfLedger ledger(1);
-    EXPECT_THROW(AvfTimeline(ledger, 0), SimError);
+    EXPECT_THROW(
+        AvfIntervalSeries(ledger, AvfIntervalSeries::Unit::Cycles, 0),
+        SimError);
 }
 
 TEST(L2AvfTracking, OffByDefault)

@@ -86,7 +86,7 @@ TEST(OddConfigs, SamplingEveryCycleWorks)
     cfg.avfSampleCycles = 1;
     auto r = runMix(cfg, findMix("2ctx-cpu-A"), 2000);
     ASSERT_NE(r.timeline, nullptr);
-    EXPECT_EQ(r.timeline->windows(),
+    EXPECT_EQ(r.timeline->data().size(),
               static_cast<std::size_t>(r.cycles));
 }
 
