@@ -193,23 +193,33 @@ for preset in $presets; do
         "$build/bench/bench_micro_sim" --benchmark_min_time=0.05 \
             --benchmark_filter='BM_SimulatedInstructions' >/dev/null
 
-        # End-to-end flag validation: malformed protect invocations must
-        # exit 2 (usage error) without starting a campaign. The unit-level
-        # equivalent is tests/test_explorer_fuzz.cc; this leg pins the
-        # parser-to-exit-code wiring in the installed binary.
+        # End-to-end flag validation: malformed protect invocations, and
+        # counts too large for their field (which used to wrap silently),
+        # must exit 2 (usage error) without starting a run. The
+        # unit-level equivalent is tests/test_explorer_fuzz.cc; this leg
+        # pins the parser-to-exit-code wiring in the installed binary.
         echo "==> [$preset] cli flag smoke"
-        for bad in '--explore=bogus' '--beam-width 4' '--resume' \
-                   '--explore=beam --beam-width 0' '--scrub-interval 0' \
-                   '--explore --scheme parity' \
-                   '--policy PRAT --prat-epoch 0' \
-                   '--prat-cap 12'; do
+        small='--contexts 2 --instructions 2000'
+        for bad in 'protect --explore=bogus' 'protect --beam-width 4' \
+                   'protect --resume' \
+                   'protect --explore=beam --beam-width 0' \
+                   'protect --scrub-interval 0' \
+                   'protect --explore --scheme parity' \
+                   'protect --policy PRAT --prat-epoch 0' \
+                   'protect --prat-cap 12' \
+                   "campaign --jobs 4294967297 $small" \
+                   'campaign --contexts 4294967298 --instructions 2000' \
+                   "campaign --retries 4294967296 $small" \
+                   "campaign --isolate process --runs-per-child 4294967296 $small" \
+                   "campaign --isolate process --child-mem 17592186044416 $small" \
+                   'run --replicas 4294967298 --instructions 2000'; do
             set +e
             # shellcheck disable=SC2086  # word splitting is the point
-            "$build/tools/smtavf_cli" protect $bad >/dev/null 2>&1
+            "$build/tools/smtavf_cli" $bad >/dev/null 2>&1
             st=$?
             set -e
             if [ "$st" -ne 2 ]; then
-                echo "protect $bad: expected exit 2, got $st" >&2
+                echo "$bad: expected exit 2, got $st" >&2
                 exit 1
             fi
         done
