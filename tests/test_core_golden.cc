@@ -9,7 +9,9 @@
  * trace (which depend on every FDD verdict the dead-code analyzer
  * records in it), the integer rows of one `--avf-interval` run, whose
  * own record precedes them, and the per-structure window AVFs of one
- * `--sample` run as hexfloats (bit-exact doubles).
+ * `--sample` run as hexfloats (bit-exact doubles). Four last records run
+ * the DL1 tracker under parity, SECDED, SECDED+scrub and, per line,
+ * SECDED, so their residual columns pin its coverage arithmetic.
  *
  * Any change to a simulated statistic, a journal byte, a deadness
  * verdict or an interval boundary shows up here as a readable line
@@ -121,6 +123,41 @@ goldenText()
             for (double v : row.avf)
                 os << v << ",";
             os << std::defaultfloat << "\n";
+        }
+    }
+
+    // The real DL1 tracker under protection: the records' residual
+    // columns are hexfloats, so they pin every per-interval coverage
+    // floor of the data and tag arrays, per byte and per line.
+    {
+        auto dl1 = [](ProtScheme p) {
+            ProtectionConfig c;
+            c.assign(HwStruct::Dl1Data, p);
+            c.assign(HwStruct::Dl1Tag, p);
+            return c;
+        };
+        ProtectionConfig scrub;
+        scrub.assignScrub(HwStruct::Dl1Data, 64);
+        scrub.assignScrub(HwStruct::Dl1Tag, 64);
+        ProtectionConfig data_secded;
+        data_secded.assign(HwStruct::Dl1Data, ProtScheme::Secded);
+
+        struct Case
+        {
+            ProtectionConfig protection;
+            bool perByte;
+        };
+        const Case cases[] = {{dl1(ProtScheme::Parity), true},
+                              {dl1(ProtScheme::Secded), true},
+                              {scrub, true},
+                              {data_secded, false}};
+        for (const auto &c : cases) {
+            auto e = makeExperiment(findMix("4ctx-mem-A"),
+                                    FetchPolicyKind::Flush, 12000);
+            e.cfg.protection = c.protection;
+            e.cfg.avf.perByteCacheAvf = c.perByte;
+            os << serializeRun(experimentFingerprint(e), runExperiment(e))
+               << "\n";
         }
     }
     return os.str();
