@@ -1,6 +1,8 @@
 #include "avf/mem_trackers.hh"
 
+#include <algorithm>
 #include <bit>
+#include <iterator>
 
 #include "base/logging.hh"
 
@@ -13,7 +15,8 @@ CacheVulnTracker::CacheVulnTracker(Cache &cache, AvfLedger &ledger,
     : ledger_(ledger), dataStruct_(data_struct), tagStruct_(tag_struct),
       lineBytes_(cache.config().lineBytes),
       granBytes_(per_byte ? 1 : cache.config().lineBytes),
-      unitsPerLine_(lineBytes_ / granBytes_)
+      unitsPerLine_(lineBytes_ / granBytes_),
+      unitBits_(granBytes_ * bits::cacheByte)
 {
     auto lines = cache.numLines();
     lines_.resize(lines);
@@ -41,9 +44,10 @@ CacheVulnTracker::onFill(std::uint32_t slot, Addr line_addr, ThreadId tid,
     if (line.valid)
         SMTAVF_PANIC("fill into a live tracked line (missing eviction)");
     line = {true, tid, now, now, false};
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
-    for (std::uint32_t b = 0; b < unitsPerLine_; ++b)
-        units_[base + b] = {now, false};
+    // Every unit opens a clean interval at the fill.
+    std::fill_n(units_.begin() + static_cast<std::size_t>(slot) *
+                                     unitsPerLine_,
+                unitsPerLine_, now);
 }
 
 void
@@ -65,18 +69,25 @@ CacheVulnTracker::onAccess(std::uint32_t slot, Addr addr, std::uint32_t size,
     if (last > unitsPerLine_)
         last = unitsPerLine_;
 
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
-    for (std::uint32_t b = first; b < last; ++b) {
-        auto &unit = units_[base + b];
-        // An interval ending in a read carried a consumed value: ACE.
-        // One ending in an overwrite was never needed again: un-ACE.
-        ledger_.addInterval(dataStruct_, line.tid,
-                            granBytes_ * bits::cacheByte, unit.since, now,
-                            !is_write);
-        unit.since = now;
-        if (is_write)
-            unit.dirty = true;
+    // An interval ending in a read carried a consumed value: ACE. One
+    // ending in an overwrite was never needed again: un-ACE. The touched
+    // units close together, in batches of up to an 8-byte access.
+    std::uint64_t *unit = units_.data() +
+                          static_cast<std::size_t>(slot) * unitsPerLine_;
+    const std::uint64_t ace = is_write ? 0 : AvfLedger::kAceFlag;
+    std::uint64_t closing[8];
+    for (std::uint32_t b = first; b < last;) {
+        std::size_t n = 0;
+        for (; b < last && n < std::size(closing); ++b, ++n)
+            closing[n] = (unit[b] & kSinceMask) | ace;
+        ledger_.addIntervals(dataStruct_, line.tid, unitBits_, closing, n,
+                             now);
     }
+    // Each touched unit reopens at now; a write also makes it dirty.
+    const std::uint64_t keep = is_write ? 0 : kDirty;
+    const std::uint64_t set = now | (is_write ? kDirty : 0);
+    for (std::uint32_t b = first; b < last; ++b)
+        unit[b] = (unit[b] & keep) | set;
 }
 
 void
@@ -86,14 +97,12 @@ CacheVulnTracker::onEvict(std::uint32_t slot, bool dirty, Cycle now)
     if (!line.valid)
         SMTAVF_PANIC("evicting an invalid tracked line");
 
-    auto base = static_cast<std::size_t>(slot) * unitsPerLine_;
-    for (std::uint32_t b = 0; b < unitsPerLine_; ++b) {
-        auto &unit = units_[base + b];
-        // Dirty bytes must survive to the writeback; clean tails are dead.
-        ledger_.addInterval(dataStruct_, line.tid,
-                            granBytes_ * bits::cacheByte, unit.since, now,
-                            unit.dirty);
-    }
+    // Dirty units must survive to the writeback; clean tails are dead.
+    // A unit's dirty bit is its ACE flag, so the line closes in one call.
+    ledger_.addIntervals(dataStruct_, line.tid, unitBits_,
+                         units_.data() + static_cast<std::size_t>(slot) *
+                                             unitsPerLine_,
+                         unitsPerLine_, now);
 
     if (dirty || line.dirty) {
         ledger_.addInterval(tagStruct_, line.tid, tagBits_, line.fillCycle,
