@@ -63,6 +63,9 @@ class Cache
     /** Attach at most one observer (may be null to detach). */
     void setObserver(CacheObserver *obs) { observer_ = obs; }
 
+    /** True while an observer is attached. */
+    bool observed() const { return observer_ != nullptr; }
+
     /** Hit test without any state change. */
     bool probe(Addr addr) const;
 

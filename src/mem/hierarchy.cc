@@ -172,6 +172,10 @@ MemHierarchy::finalize(Cycle now)
     drainMshrs(dl1_, dl1Mshrs_, now, true);
     dl1_.flushAll(now);
     il1_.flushAll(now);
+    // Only an L2 tracker (avf.trackL2Avf) reads the L2's closing
+    // intervals; an untracked run skips the flush.
+    if (l2_.observed())
+        l2_.flushAll(now);
     itlb_.flushAll(now);
     dtlb_.flushAll(now);
 }

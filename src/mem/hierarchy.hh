@@ -73,6 +73,7 @@ class MemHierarchy
     /**
      * Drain all outstanding fills and flush caches/TLBs so the AVF
      * observers can close every open interval. Call once at end of run.
+     * The L2 is flushed only when an observer is attached to it.
      */
     void finalize(Cycle now);
 

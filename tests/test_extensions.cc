@@ -149,6 +149,18 @@ TEST(L2AvfTracking, TracksWhenEnabled)
     EXPECT_LE(r.avf.avf(HwStruct::L2Tag), 1.0);
 }
 
+TEST(L2AvfTracking, ResidentLinesCloseAtEndOfRun)
+{
+    // Prewarm fills the L2 and few of its lines are evicted in a short
+    // run; each one still resident must close when the run ends, so the
+    // tag array reads as occupied for almost the whole run.
+    auto cfg = table1Config(2);
+    cfg.avf.trackL2Avf = true;
+    auto r = runMix(cfg, findMix("2ctx-mem-A"), 20000);
+    EXPECT_GT(r.avf.occupancy(HwStruct::L2Tag), 0.99);
+    EXPECT_LE(r.avf.occupancy(HwStruct::L2Tag), 1.0);
+}
+
 TEST(L2AvfTracking, DoesNotPerturbTiming)
 {
     auto cfg = table1Config(2);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "mem/hierarchy.hh"
 
 namespace smtavf
@@ -157,6 +159,55 @@ TEST(HierarchyTest, FinalizeDrainsEverything)
     h.finalize(50);
     EXPECT_EQ(h.outstandingDl1Misses(), 0u);
     EXPECT_FALSE(h.dl1().probe(0x5000)); // flushed after drain
+}
+
+/** Keeps the set of slots an observed cache holds. */
+struct ResidencyRecorder : CacheObserver
+{
+    std::set<std::uint32_t> resident;
+    std::size_t fills = 0;
+    std::size_t evictions = 0;
+
+    void
+    onFill(std::uint32_t slot, Addr, ThreadId, Cycle) override
+    {
+        resident.insert(slot);
+        ++fills;
+    }
+    void onAccess(std::uint32_t, Addr, std::uint32_t, bool, ThreadId,
+                  Cycle) override
+    {
+    }
+    void
+    onEvict(std::uint32_t slot, bool, Cycle) override
+    {
+        resident.erase(slot);
+        ++evictions;
+    }
+};
+
+TEST(HierarchyTest, FinalizeEvictsEveryObservedL2Line)
+{
+    MemHierarchy h(table1Mem());
+    ResidencyRecorder rec;
+    h.l2().setObserver(&rec);
+    h.l2().fill(0x20000, 1, 5);
+    auto a = h.load(0, 0x5000, 4, 10);
+    h.tick(a.ready);              // this L2 fill has landed
+    h.load(0, 0x9000, 4, a.ready); // this one is still outstanding
+    ASSERT_FALSE(rec.resident.empty());
+    h.finalize(a.ready + 1);
+    EXPECT_EQ(rec.fills, 3u);
+    EXPECT_EQ(rec.evictions, rec.fills);
+    EXPECT_TRUE(rec.resident.empty());
+}
+
+TEST(HierarchyTest, FinalizeLeavesUnobservedL2Alone)
+{
+    MemHierarchy h(table1Mem());
+    h.l2().fill(0x20000, 1, 5);
+    h.finalize(50);
+    EXPECT_TRUE(h.l2().probe(0x20000));
 }
 
 TEST(HierarchyTest, ThreadsDoNotShareTlbEntries)
