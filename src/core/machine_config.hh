@@ -42,8 +42,9 @@ struct AvfOptions
     /**
      * Also track the unified L2's AVF (extension; the paper stops at the
      * DL1). Tracked at line granularity — per-byte state for a 2MB cache
-     * costs ~32MB per simulator and adds little: L2 "reads" are whole-line
-     * refills anyway.
+     * (one packed 8-byte word per byte) would cost ~16MB per simulator
+     * and add little: L2 "reads" are whole-line refills anyway. Lines
+     * still resident when the run ends close there.
      */
     bool trackL2Avf = false;
 };
