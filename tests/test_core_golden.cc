@@ -9,9 +9,12 @@
  * trace (which depend on every FDD verdict the dead-code analyzer
  * records in it), the integer rows of one `--avf-interval` run, whose
  * own record precedes them, and the per-structure window AVFs of one
- * `--sample` run as hexfloats (bit-exact doubles). Four last records run
- * the DL1 tracker under parity, SECDED, SECDED+scrub and, per line,
- * SECDED, so their residual columns pin its coverage arithmetic.
+ * `--sample` run as hexfloats (bit-exact doubles). Four records run the
+ * DL1 tracker under parity, SECDED, SECDED+scrub and, per line, SECDED,
+ * so their residual columns pin its coverage arithmetic. Four last
+ * records measure 12000 instructions after a 20000-instruction warmup,
+ * so they pin the drain at the boundary; the last of them prints its
+ * `--sample` windows too.
  *
  * Any change to a simulated statistic, a journal byte, a deadness
  * verdict or an interval boundary shows up here as a readable line
@@ -158,6 +161,37 @@ goldenText()
             e.cfg.avf.perByteCacheAvf = c.perByte;
             os << serializeRun(experimentFingerprint(e), runExperiment(e))
                << "\n";
+        }
+    }
+
+    // Warmup-boundary runs: the drain at the boundary, and the measured
+    // window after it, of 20000 warmup instructions. The last one also
+    // prints its cycle windows, which open at the boundary.
+    {
+        struct Case
+        {
+            const char *mix;
+            FetchPolicyKind policy;
+            Cycle sampleCycles;
+        };
+        const Case cases[] = {{"4ctx-mem-A", FetchPolicyKind::Icount, 0},
+                              {"4ctx-mem-A", FetchPolicyKind::Flush, 0},
+                              {"8ctx-mem-A", FetchPolicyKind::Flush, 0},
+                              {"4ctx-mem-A", FetchPolicyKind::Flush, 1000}};
+        for (const auto &c : cases) {
+            auto e = makeExperiment(findMix(c.mix), c.policy, 12000);
+            e.warmup = 20000;
+            e.cfg.avfSampleCycles = c.sampleCycles;
+            auto r = runExperiment(e);
+            os << serializeRun(experimentFingerprint(e), r) << "\n";
+            if (!r.timeline)
+                continue;
+            for (const auto &row : r.timeline->data()) {
+                os << "# window " << row.index << " avf=" << std::hexfloat;
+                for (double v : row.avf)
+                    os << v << ",";
+                os << std::defaultfloat << "\n";
+            }
         }
     }
     return os.str();
