@@ -149,6 +149,11 @@ struct DynInstr
     bool dl1Miss = false;
     /** L2 outcome of this memory access (set at execute). */
     bool l2Miss = false;
+    /**
+     * PDG's fetch-time miss prediction while it still counts against the
+     * thread; issue, completion or a squash clears it, exactly once.
+     */
+    bool predictedMiss = false;
 
     /**
      * Residency intervals awaiting dead-code resolution. An instruction

@@ -20,7 +20,7 @@ FlushPolicy::fetchOrder(Cycle now)
 }
 
 void
-FlushPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
+FlushPolicy::onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     if (!l2_miss)
@@ -36,7 +36,7 @@ FlushPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
 }
 
 void
-FlushPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
+FlushPolicy::onLoadDone(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;

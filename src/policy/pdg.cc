@@ -38,18 +38,26 @@ PdgPolicy::fetchOrder(Cycle now)
 }
 
 void
-PdgPolicy::onFetch(const DynInstr &in)
+PdgPolicy::dropPrediction(DynInstr &load)
+{
+    if (load.predictedMiss) {
+        load.predictedMiss = false;
+        --predicted_[load.tid];
+    }
+}
+
+void
+PdgPolicy::onFetch(DynInstr &in)
 {
     if (in.op != OpClass::Load)
         return;
-    bool predicted_miss = table_[tableIndex(in.pc)] >= 2;
-    inFlight_[in.tid][in.seq] = predicted_miss;
-    if (predicted_miss)
+    in.predictedMiss = table_[tableIndex(in.pc)] >= 2;
+    if (in.predictedMiss)
         ++predicted_[in.tid];
 }
 
 void
-PdgPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
+PdgPolicy::onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l2_miss;
     // Train the miss predictor with the actual outcome.
@@ -65,26 +73,15 @@ PdgPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
     // A predicted-miss load that actually hit stops counting right away;
     // predicted-miss loads that really missed keep counting via
     // outstandingL1D, so drop the prediction either way.
-    auto &in_flight = inFlight_[load.tid];
-    auto it = in_flight.find(load.seq);
-    if (it != in_flight.end() && it->second) {
-        --predicted_[load.tid];
-        it->second = false;
-    }
+    dropPrediction(load);
 }
 
 void
-PdgPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
+PdgPolicy::onLoadDone(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;
-    auto &in_flight = inFlight_[load.tid];
-    auto it = in_flight.find(load.seq);
-    if (it == in_flight.end())
-        return;
-    if (it->second)
-        --predicted_[load.tid]; // squashed before issue
-    in_flight.erase(it);
+    dropPrediction(load); // still set only when squashed before issue
 }
 
 } // namespace smtavf

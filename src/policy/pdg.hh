@@ -10,7 +10,6 @@
 #define SMTAVF_POLICY_PDG_HH
 
 #include <array>
-#include <unordered_map>
 #include <vector>
 
 #include "policy/fetch_policy.hh"
@@ -31,11 +30,9 @@ class PdgPolicy : public FetchPolicy
 
     const char *name() const override { return "PDG"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
-    void onFetch(const DynInstr &in) override;
-    void onLoadIssued(const DynInstr &load, bool l1_miss,
-                      bool l2_miss) override;
-    void onLoadDone(const DynInstr &load, bool l1_miss,
-                    bool l2_miss) override;
+    void onFetch(DynInstr &in) override;
+    void onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss) override;
+    void onLoadDone(DynInstr &load, bool l1_miss, bool l2_miss) override;
 
     /** Predicted-miss loads currently in flight for a thread. */
     unsigned predictedInFlight(ThreadId tid) const
@@ -52,8 +49,6 @@ class PdgPolicy : public FetchPolicy
         ar(table_);
         // In-flight prediction state is empty at a drained boundary.
         predicted_.fill(0);
-        for (auto &m : inFlight_)
-            m.clear();
     }
 
     /** Worker-reuse hook: untrained weakly-not-miss table, nothing in flight. */
@@ -62,20 +57,18 @@ class PdgPolicy : public FetchPolicy
     {
         table_.assign(table_.size(), 1);
         predicted_.fill(0);
-        // clear() keeps the grown bucket arrays; these maps are only ever
-        // probed by key (never iterated), so bucket count is unobservable.
-        for (auto &m : inFlight_)
-            m.clear();
     }
 
   private:
     std::uint32_t tableIndex(Addr pc) const;
 
+    /** Undo @p load's predicted-miss count if it still holds one. */
+    void dropPrediction(DynInstr &load);
+
     unsigned threshold_;
     AVec<std::uint8_t> table_; ///< 2-bit miss counters
+    /** Loads in flight whose DynInstr::predictedMiss is set, per thread. */
     std::array<unsigned, maxContexts> predicted_{};
-    /** seq -> predicted-miss flag, to undo the count exactly once. */
-    std::array<std::unordered_map<SeqNum, bool>, maxContexts> inFlight_;
 };
 
 } // namespace smtavf

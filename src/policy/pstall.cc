@@ -38,7 +38,7 @@ PStallPolicy::fetchOrder(Cycle now)
 }
 
 void
-PStallPolicy::onFetch(const DynInstr &in)
+PStallPolicy::onFetch(DynInstr &in)
 {
     if (in.op != OpClass::Load)
         return;
@@ -52,7 +52,7 @@ PStallPolicy::onFetch(const DynInstr &in)
 }
 
 void
-PStallPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
+PStallPolicy::onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     auto &ctr = table_[tableIndex(load.pc)];
@@ -70,7 +70,7 @@ PStallPolicy::onLoadIssued(const DynInstr &load, bool l1_miss, bool l2_miss)
 }
 
 void
-PStallPolicy::onLoadDone(const DynInstr &load, bool l1_miss, bool l2_miss)
+PStallPolicy::onLoadDone(DynInstr &load, bool l1_miss, bool l2_miss)
 {
     (void)l1_miss;
     (void)l2_miss;
