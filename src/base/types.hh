@@ -14,6 +14,9 @@ namespace smtavf
 /** Simulation cycle count. Monotonically increasing, starts at 0. */
 using Cycle = std::uint64_t;
 
+/** The cycle that never comes: "no such event". */
+constexpr Cycle maxCycle = ~Cycle{0};
+
 /** Dynamic-instruction sequence number, unique per thread per run. */
 using SeqNum = std::uint64_t;
 

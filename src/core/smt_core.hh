@@ -70,6 +70,28 @@ class SmtCore final : public PolicyContext
     void tick();
 
     /**
+     * The last cycle the clock may jump to without passing an event:
+     * now() after a tick that changed anything but the clock and the
+     * two round-robin pointers, and always under a policy whose
+     * fetchOrder() mutates it (PRAT). After a quiet tick, the cycle
+     * before the next completion (squashed buckets included), MSHR
+     * fill, I-cache stall end or fetched instruction becoming
+     * dispatchable; now() when no such event is pending at all. Every
+     * cycle up to it would tick as quietly as the last one did.
+     */
+    Cycle quietUntil() const { return active_ ? now_ : lastQuietCycle(); }
+
+    /**
+     * Jump the clock to @p to, now() < @p to <= quietUntil(), leaving the
+     * machine exactly as ticking through the quiet cycles would: only
+     * the round-robin pointers advance with the clock.
+     */
+    void skipTo(Cycle to);
+
+    /** Cycles skipTo() jumped over since construction (diagnostic). */
+    std::uint64_t skippedCycles() const { return skipped_; }
+
+    /**
      * Worker-reuse hook: restore the exact post-construction state under a
      * (timing-shape-compatible) new configuration — clock at zero, every
      * queue empty, predictors untrained, register pool full, fetch
@@ -349,6 +371,9 @@ class SmtCore final : public PolicyContext
 
     void scheduleCompletion(DynInstr *in, Cycle when);
 
+    /** quietUntil() after a quiet tick: the next event's cycle - 1. */
+    Cycle lastQuietCycle() const;
+
     /** Give the ledger this machine's IQ/ROB/LSQ/FU geometry. */
     void declareStructureBits();
 
@@ -460,6 +485,17 @@ class SmtCore final : public PolicyContext
 
     /** Fetch gate for drain-then-checkpoint (setFetchEnabled). */
     bool fetchEnabled_ = true;
+
+    /**
+     * The current tick changed state beyond the clock and the
+     * round-robin pointers: a fill landed, a completion list drained, or
+     * something committed, issued, dispatched or got past fetch's
+     * guards. Each tick starts it at fetchOrderMutates_.
+     */
+    bool active_ = true;
+    /** FetchPolicy::fetchOrderMutates(), read once at construction. */
+    bool fetchOrderMutates_ = false;
+    std::uint64_t skipped_ = 0;
 };
 
 } // namespace smtavf

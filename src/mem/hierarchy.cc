@@ -126,9 +126,10 @@ MemHierarchy::fetch(ThreadId tid, Addr pc, Cycle now)
     return out;
 }
 
-void
+bool
 MemHierarchy::drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force)
 {
+    bool landed = false;
     for (auto it = mshrs.begin(); it != mshrs.end();) {
         if (force || it->second.ready <= now) {
             Cycle land = std::min(it->second.ready, now);
@@ -138,28 +139,45 @@ MemHierarchy::drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force)
                     l1.access(op.addr, op.size, op.isWrite, op.tid, land);
             }
             it = mshrs.erase(it);
+            landed = true;
         } else {
             ++it;
         }
     }
+    return landed;
 }
 
-void
+bool
 MemHierarchy::tick(Cycle now)
 {
+    if (outstandingMisses() == 0)
+        return false;
     // L2 fills must land before L1 fills that depend on them; both maps are
     // drained by ready time, and L1 ready times are never earlier than the
     // corresponding L2 fill, so draining L2 first suffices.
+    bool landed = false;
     for (auto it = l2Mshrs_.begin(); it != l2Mshrs_.end();) {
         if (it->second.ready <= now) {
             l2_.fill(it->first, it->second.tid, it->second.ready);
             it = l2Mshrs_.erase(it);
+            landed = true;
         } else {
             ++it;
         }
     }
-    drainMshrs(il1_, il1Mshrs_, now, false);
-    drainMshrs(dl1_, dl1Mshrs_, now, false);
+    landed |= drainMshrs(il1_, il1Mshrs_, now, false);
+    landed |= drainMshrs(dl1_, dl1Mshrs_, now, false);
+    return landed;
+}
+
+Cycle
+MemHierarchy::nextFill() const
+{
+    Cycle next = maxCycle;
+    for (const MshrMap *mshrs : {&l2Mshrs_, &il1Mshrs_, &dl1Mshrs_})
+        for (const auto &kv : *mshrs)
+            next = std::min(next, kv.second.ready);
+    return next;
 }
 
 void

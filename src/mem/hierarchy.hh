@@ -67,8 +67,17 @@ class MemHierarchy
     /** Instruction fetch of the line containing @p pc: ITLB + IL1. */
     MemOutcome fetch(ThreadId tid, Addr pc, Cycle now);
 
-    /** Land any fills whose latency has elapsed. Call once per cycle. */
-    void tick(Cycle now);
+    /**
+     * Land any fills whose latency has elapsed. Call once per cycle.
+     * @return true when a fill landed
+     */
+    bool tick(Cycle now);
+
+    /**
+     * The earliest cycle an outstanding fill lands, at any level
+     * (maxCycle when none is outstanding). Reads the MSHR maps only.
+     */
+    Cycle nextFill() const;
 
     /**
      * Drain all outstanding fills and flush caches/TLBs so the AVF
@@ -170,7 +179,8 @@ class MemHierarchy
     /** L2 lookup/allocation for an L1 miss; returns data-ready cycle. */
     Cycle accessL2(ThreadId tid, Addr addr, Cycle now, bool &l2_miss);
 
-    void drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force);
+    /** Land @p mshrs' matured fills (all when @p force); true if any. */
+    bool drainMshrs(Cache &l1, MshrMap &mshrs, Cycle now, bool force);
 
     MemConfig cfg_;
     Cache il1_;

@@ -74,6 +74,9 @@ class PRatPolicy : public FetchPolicy
     const char *name() const override { return "PRAT"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 
+    /** The epoch refresh and the throttle tally run in every call. */
+    bool fetchOrderMutates() const override { return true; }
+
     unsigned aceCap() const { return aceCap_; }
     Cycle epoch() const { return epoch_; }
 

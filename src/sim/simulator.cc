@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include <algorithm>
+
 #include "base/logging.hh"
 #include "sim/errors.hh"
 #include "sim/invariants.hh"
@@ -264,6 +266,11 @@ Simulator::advanceUntil(std::uint64_t target, LoopState &ls)
 
     while (core_->totalCommitted() < target) {
         core_->tick();
+        // A quiet tick commits nothing, so the watchdog would throw on
+        // the first cycle past its window: land there at the latest.
+        skipQuietCycles(watchdog_window > 0
+                            ? ls.lastProgress + watchdog_window + 1
+                            : maxCycle);
         for (AvfIntervalSeries *s : ls.samplers)
             if (s)
                 s->tick(core_->totalCommitted(), core_->now());
@@ -299,6 +306,26 @@ Simulator::advanceUntil(std::uint64_t target, LoopState &ls)
 }
 
 void
+Simulator::skipQuietCycles(Cycle limit)
+{
+    const Cycle now = core_->now();
+    Cycle land = std::min(core_->quietUntil(), limit);
+    if (land <= now)
+        return;
+    auto next_multiple = [now](Cycle period) {
+        return (now / period + 1) * period;
+    };
+    if (cfg_.cancelCheckCycles > 0 && cfg_.cancel)
+        land = std::min(land, next_multiple(cfg_.cancelCheckCycles));
+    if (cfg_.invariantCheckCycles > 0)
+        land = std::min(land, next_multiple(cfg_.invariantCheckCycles));
+    // The samplers tick at the landing cycle: a cycle window the jump
+    // crossed closes there with the tallies it would have had, since
+    // nothing a quiet cycle does reaches the ledger.
+    core_->skipTo(land);
+}
+
+void
 Simulator::drainPipeline(LoopState &ls)
 {
     core_->setFetchEnabled(false);
@@ -310,6 +337,7 @@ Simulator::drainPipeline(LoopState &ls)
         cfg_.livelockCycles > 0 ? cfg_.livelockCycles : Cycle{2'000'000};
     while (!(core_->pipelineEmpty() && hier_.outstandingMisses() == 0)) {
         core_->tick();
+        skipQuietCycles(start + bound + 1);
         for (AvfIntervalSeries *s : ls.samplers)
             if (s)
                 s->tick(core_->totalCommitted(), core_->now());

@@ -212,6 +212,15 @@ class Simulator
     void advanceUntil(std::uint64_t target, LoopState &ls);
 
     /**
+     * After a quiet tick, jump the clock over the quiet cycles that
+     * follow (SmtCore::quietUntil), landing no later than @p limit and
+     * no later than the next cycle the cancel poll or the invariant
+     * checker runs on, so every check still sees its own cycle. Both
+     * tick loops call it right after SmtCore::tick().
+     */
+    void skipQuietCycles(Cycle limit);
+
+    /**
      * Disable fetch and tick until the pipeline and MSHRs are empty
      * (bounded; SMTAVF_FATAL if quiescence is never reached), then
      * re-enable fetch.

@@ -217,6 +217,26 @@ TEST(Livelock, WatchdogRaisesStructuredErrorWithinBound)
     }
 }
 
+TEST(Livelock, WatchdogFiresOnItsExactCycle)
+{
+    // Nothing commits from cycle 0, so the watchdog fires on the first
+    // cycle past its window, whether the invariant checker caps the
+    // quiet-cycle jumps or not.
+    for (Cycle invariants : {Cycle{0}, Cycle{16}}) {
+        Experiment e = livelockExperiment();
+        e.cfg.invariantCheckCycles = invariants;
+        Simulator sim(e.cfg, e.mix);
+        try {
+            sim.run(kBudget);
+            ADD_FAILURE() << "expected LivelockError, invariants "
+                          << invariants;
+        } catch (const LivelockError &err) {
+            EXPECT_EQ(err.window, 50u);
+            EXPECT_EQ(err.cycle, 51u) << "invariants " << invariants;
+        }
+    }
+}
+
 TEST(Livelock, DisabledWatchdogLetsColdStartRecover)
 {
     Experiment e = livelockExperiment();
