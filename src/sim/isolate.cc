@@ -247,7 +247,16 @@ superviseChild(pid_t pid, int rfd, const ChildLimits &limits,
 {
     Supervised sup;
     using clock = std::chrono::steady_clock;
-    const bool have_deadline = deadline_seconds > 0.0;
+    // A deadline past the clock's range (a huge --hard-timeout, or a
+    // finite one scaled by the batch size) is no deadline: converting it
+    // would overflow into the past and kill the child at the first poll.
+    // Half the range keeps the rounded conversion clear of the limit.
+    const double range_seconds =
+        std::chrono::duration<double>(clock::time_point::max() -
+                                      clock::now())
+            .count();
+    const bool have_deadline =
+        deadline_seconds > 0.0 && deadline_seconds < range_seconds / 2;
     const auto deadline =
         clock::now() + std::chrono::duration_cast<clock::duration>(
                            std::chrono::duration<double>(

@@ -559,6 +559,27 @@ TEST(Chaos, HardTimeoutKillsAWedgedChild)
               std::string::npos);
 }
 
+TEST(Chaos, HardTimeoutBeyondTheClockIsNoDeadline)
+{
+    auto exps = fourMixCampaign();
+    exps.resize(1);
+    CampaignOptions opt = processOpt();
+    opt.retries = 0;
+    // Past steady_clock's range: the supervisor must not convert it into
+    // a deadline that has already expired.
+    opt.hardTimeoutSeconds = 1e300;
+    opt.runFn = [](const Experiment &e, std::size_t) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+        return runExperiment(e);
+    };
+    CampaignRunner pool(1);
+    auto report = runTolerant(pool, exps, opt);
+    EXPECT_EQ(report.outcomes[0].status, RunStatus::Ok)
+        << report.outcomes[0].error;
+    EXPECT_EQ(report.outcomes[0].attempts, 1u);
+    EXPECT_EQ(report.outcomes[0].crash, CrashKind::None);
+}
+
 TEST(Chaos, LeakUntilMemoryCapIsClassifiedOom)
 {
 #ifdef SMTAVF_ASAN
