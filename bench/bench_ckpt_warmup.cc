@@ -47,8 +47,7 @@ struct ExploreOutcome
 ExploreOutcome
 runExplorer(bool shared)
 {
-    ProtectionExplorer ex(table1Config(2), findMix("2ctx-mix-A"), kBudget,
-                          /*max_depth=*/3);
+    ProtectionExplorer ex(table1Config(2), findMix("2ctx-mix-A"), kBudget);
     CampaignRunner pool(4);
     BeamOptions bo;
     bo.beamWidth = 4;

@@ -34,7 +34,8 @@ main()
     auto t0 = std::chrono::steady_clock::now();
 
     ProtectionExplorer explorer(cfg, mix);
-    auto result = explorer.explore(pool);
+    auto result =
+        explorer.exploreBeam(pool, ProtectionExplorer::prefixSweep());
 
     std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
     std::fprintf(stderr,

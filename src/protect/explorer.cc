@@ -20,30 +20,6 @@ const char *const l2PricingWarning =
     "upper bounds";
 
 const char *
-exploreModeName(ExploreMode m)
-{
-    switch (m) {
-      case ExploreMode::Prefix: return "prefix";
-      case ExploreMode::Beam: return "beam";
-      default: return "unknown";
-    }
-}
-
-bool
-parseExploreMode(const std::string &name, ExploreMode &out)
-{
-    if (name == "prefix") {
-        out = ExploreMode::Prefix;
-        return true;
-    }
-    if (name == "beam") {
-        out = ExploreMode::Beam;
-        return true;
-    }
-    return false;
-}
-
-const char *
 beamActionName(BeamTraceEvent::Action a)
 {
     switch (a) {
@@ -166,7 +142,7 @@ ExplorationResult::csv() const
 {
     std::ostringstream os;
     os << "# smtavf exploration\n";
-    os << "# mode=" << exploreModeName(mode) << '\n';
+    os << "# mode=beam\n";
     os << "# mix=" << mixName << '\n';
     os << "# policy=" << policyName << '\n';
     os << "# evaluations=" << evaluations << '\n';
@@ -197,7 +173,7 @@ ExplorationResult::json() const
 {
     std::ostringstream os;
     os << "{\n";
-    os << "  \"mode\": " << jsonStr(exploreModeName(mode)) << ",\n";
+    os << "  \"mode\": \"beam\",\n";
     os << "  \"mix\": " << jsonStr(mixName) << ",\n";
     os << "  \"policy\": " << jsonStr(policyName) << ",\n";
     os << "  \"evaluations\": " << evaluations << ",\n";
@@ -263,35 +239,20 @@ ExplorationResult::table() const
 }
 
 ProtectionExplorer::ProtectionExplorer(MachineConfig base, WorkloadMix mix,
-                                       std::uint64_t budget,
-                                       unsigned max_depth)
-    : base_(std::move(base)), mix_(std::move(mix)), budget_(budget),
-      maxDepth_(max_depth)
+                                       std::uint64_t budget)
+    : base_(std::move(base)), mix_(std::move(mix)), budget_(budget)
 {
-    if (maxDepth_ == 0)
-        SMTAVF_FATAL("explorer needs max_depth >= 1");
     base_.protection = ProtectionConfig{}; // candidates replace it
 }
 
-std::vector<ProtectionConfig>
-ProtectionExplorer::candidates(const std::vector<HwStruct> &priority,
-                               Cycle scrub_interval, unsigned max_depth)
+BeamOptions
+ProtectionExplorer::prefixSweep(Cycle scrub_interval, unsigned depth)
 {
-    static const ProtScheme schemes[] = {
-        ProtScheme::Parity, ProtScheme::Secded, ProtScheme::SecdedScrub};
-    std::vector<ProtectionConfig> out;
-    unsigned depth = std::min<unsigned>(
-        max_depth, static_cast<unsigned>(priority.size()));
-    for (auto scheme : schemes) {
-        for (unsigned k = 1; k <= depth; ++k) {
-            ProtectionConfig p;
-            p.scrubInterval = scrub_interval;
-            for (unsigned i = 0; i < k; ++i)
-                p.assign(priority[i], scheme);
-            out.push_back(std::move(p));
-        }
-    }
-    return out;
+    BeamOptions bo;
+    bo.generations = 0;
+    bo.maxStructures = depth;
+    bo.scrubLadder = {scrub_interval};
+    return bo;
 }
 
 std::vector<Cycle>
@@ -417,77 +378,6 @@ ProtectionExplorer::paretoFrontier(const std::vector<ProtectionPoint> &points)
 }
 
 ExplorationResult
-ProtectionExplorer::explore(CampaignRunner &pool, std::uint64_t warmup) const
-{
-    const auto bits = structureBitCapacities(base_);
-
-    // Stage 1: unprotected baseline, for the hotspot ranking.
-    Experiment baseline;
-    baseline.label = mix_.name + "/unprotected";
-    baseline.cfg = base_;
-    baseline.mix = mix_;
-    baseline.budget = budget_;
-    baseline.warmup = warmup;
-    SimResult base_run = pool.run({baseline}).front();
-
-    ExplorationResult result;
-    result.mode = ExploreMode::Prefix;
-    result.mixName = base_run.mixName;
-    result.policyName = base_run.policyName;
-    result.priority = rankedHotspots(base_, base_run.avf);
-
-    // Stage 2: every candidate assignment as one campaign.
-    auto configs = candidates(result.priority,
-                              base_.protection.scrubInterval
-                                  ? base_.protection.scrubInterval
-                                  : 10000,
-                              maxDepth_);
-    std::vector<Experiment> exps;
-    exps.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        Experiment e = baseline;
-        e.cfg.protection = configs[i];
-        unsigned depth = 0;
-        ProtScheme scheme = ProtScheme::None;
-        for (auto s : result.priority)
-            if (configs[i].schemeFor(s) != ProtScheme::None) {
-                ++depth;
-                scheme = configs[i].schemeFor(s);
-            }
-        e.label = mix_.name + "/" + protSchemeName(scheme) + ":top" +
-                  std::to_string(depth);
-        exps.push_back(std::move(e));
-    }
-    auto runs = pool.run(exps);
-    result.evaluations = runs.size();
-
-    auto to_point = [&](const std::string &label, const Experiment &e,
-                        const SimResult &r) {
-        ProtectionPoint p;
-        p.label = label;
-        p.protection = e.cfg.protection;
-        p.rawSer = serProxy(r.avf, bits, /*residual=*/false);
-        p.residualSer = serProxy(r.avf, bits, /*residual=*/true);
-        auto cost = protectionCost(e.cfg);
-        p.areaOverhead = cost.areaOverhead;
-        p.energyOverhead = cost.energyOverhead;
-        p.ipc = r.ipc;
-        maybeWarnL2(result, base_, e.cfg.protection);
-        return p;
-    };
-
-    result.points.push_back(to_point("none", baseline, base_run));
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        // Strip the mix prefix: the point label is the assignment.
-        auto slash = exps[i].label.find('/');
-        result.points.push_back(to_point(exps[i].label.substr(slash + 1),
-                                         exps[i], runs[i]));
-    }
-    result.frontier = paretoFrontier(result.points);
-    return result;
-}
-
-ExplorationResult
 ProtectionExplorer::exploreBeam(CampaignRunner &pool,
                                 const BeamOptions &opt) const
 {
@@ -553,7 +443,6 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     const SimResult &base_run = base_out.result;
 
     ExplorationResult result;
-    result.mode = ExploreMode::Beam;
     result.mixName = base_run.mixName;
     result.policyName = base_run.policyName;
     result.priority = rankedHotspots(base_, base_run.avf);

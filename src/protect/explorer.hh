@@ -4,20 +4,15 @@
  * assignments over the parallel campaign runner and report the Pareto
  * frontier of residual soft-error rate vs. area/energy overhead vs. IPC.
  *
- * Two search modes share one evaluation pipeline:
- *
- *  - **Prefix sweep** (legacy, `--depth`): every scheme applied to the
- *    top-k hotspots of the paper's Section-4.1 raw-AVF ranking,
- *    k = 1..depth. Cheap, but structurally unable to discover mixed
- *    assignments like "SECDED on the IQ, parity on the ROB".
- *
- *  - **Beam search** (`--explore=beam`): a deterministic beam over
- *    per-structure scheme vectors. The beam is seeded from the hotspot
- *    ranking (the prefix candidates), then each generation expands every
- *    beam member by single-structure upgrades/downgrades — including a
- *    small per-structure scrub-interval ladder — prunes provably
- *    dominated candidates with the cost model *before* simulating, and
- *    evaluates the survivors as one campaign batch.
+ * The search is a beam over per-structure scheme vectors. Its generation
+ * 0 is the prefix sweep: parity, SECDED and SECDED+scrub each applied to
+ * the top-1..k hotspots of the paper's Section-4.1 raw-AVF ranking. Each
+ * later generation expands the best candidates by single-structure
+ * upgrades/downgrades (including a small per-structure scrub-interval
+ * ladder), prunes provably dominated candidates with the cost model
+ * *before* simulating, and evaluates the survivors as one campaign
+ * batch. `protect --explore` runs generation 0 alone at one scrub
+ * interval (prefixSweep()); `--explore=beam` runs the full search.
  *
  * Determinism argument (tests/test_explorer_properties.cc): every
  * candidate is an independent Experiment keyed by its journal fingerprint
@@ -53,19 +48,10 @@
 namespace smtavf
 {
 
-/** Which candidate generator produced an ExplorationResult. */
-enum class ExploreMode : std::uint8_t { Prefix, Beam };
-
-/** Canonical lower-case mode name ("prefix", "beam"). */
-const char *exploreModeName(ExploreMode m);
-
-/** Parse an explore mode name; accepts "prefix" and "beam". */
-bool parseExploreMode(const std::string &name, ExploreMode &out);
-
 /** One evaluated protection assignment. */
 struct ProtectionPoint
 {
-    std::string label;           ///< prefix: "secded:top3"; beam: assignment
+    std::string label;           ///< canonical assignment string
     ProtectionConfig protection;
     double rawSer = 0.0;         ///< bit-weighted raw AVF (FIT proxy)
     double residualSer = 0.0;    ///< bit-weighted residual AVF
@@ -105,7 +91,6 @@ extern const char *const l2PricingWarning;
 /** Everything one exploration reports. */
 struct ExplorationResult
 {
-    ExploreMode mode = ExploreMode::Prefix;
     std::string mixName;
     std::string policyName;
 
@@ -118,7 +103,7 @@ struct ExplorationResult
 
     /** One-time caveats (e.g. the L2 capacity-pricing tripwire). */
     std::vector<std::string> warnings;
-    /** Beam search decision log, in decision order (empty for prefix). */
+    /** Search decision log, in decision order. */
     std::vector<BeamTraceEvent> trace;
 
     std::uint64_t evaluations = 0;  ///< candidates submitted (journal incl.)
@@ -155,7 +140,7 @@ struct BeamOptions
     unsigned maxStructures = 6;
     /**
      * Per-structure scrub-interval ladder for SecdedScrub candidates;
-     * empty = defaultScrubLadder() of the base config's interval.
+     * empty = defaultScrubLadder(10000) (the base protection is dropped).
      */
     std::vector<Cycle> scrubLadder;
     /** Persist evaluated runs + search trace here ("" = no journal). */
@@ -190,31 +175,23 @@ class ProtectionExplorer
      *               assignment is ignored; candidates replace it)
      * @param mix    workload to evaluate under
      * @param budget per-run instruction budget (0 = default)
-     * @param max_depth prefix mode: protect at most this many hotspots
      */
     ProtectionExplorer(MachineConfig base, WorkloadMix mix,
-                       std::uint64_t budget = 0, unsigned max_depth = 4);
-
-    /**
-     * Legacy prefix sweep over @p pool; deterministic. A nonzero
-     * @p warmup warms every run up independently (no checkpoint
-     * sharing — that is a beam-search feature, BeamOptions::sharedWarmup).
-     */
-    ExplorationResult explore(CampaignRunner &pool,
-                              std::uint64_t warmup = 0) const;
+                       std::uint64_t budget = 0);
 
     /** Beam search over per-structure scheme vectors; deterministic. */
     ExplorationResult exploreBeam(CampaignRunner &pool,
                                   const BeamOptions &opt = {}) const;
 
     /**
-     * Candidate assignments for a hotspot ranking: for each scheme and
-     * each depth k, protect the top-k structures of @p priority. Exposed
-     * for tests and for callers that want the sweep without the runs.
+     * The prefix sweep as a search preset: generation 0 only, over the
+     * top @p depth hotspots, with one scrub rung at @p scrub_interval.
+     * Its candidates are each scheme applied to the top-1..depth
+     * hotspots; evaluated plus pruned ones number 3 x min(depth,
+     * hotspots). This is what `protect --explore` runs.
      */
-    static std::vector<ProtectionConfig>
-    candidates(const std::vector<HwStruct> &priority, Cycle scrub_interval,
-               unsigned max_depth);
+    static BeamOptions prefixSweep(Cycle scrub_interval = 10000,
+                                   unsigned depth = 4);
 
     /**
      * Every assignment of {none, parity, secded, secded+scrub@ladder...}
@@ -269,7 +246,6 @@ class ProtectionExplorer
     MachineConfig base_;
     WorkloadMix mix_;
     std::uint64_t budget_;
-    unsigned maxDepth_;
 };
 
 } // namespace smtavf

@@ -1,7 +1,7 @@
 /**
  * @file
  * Adversarial flag vectors against the `protect` subcommand parser
- * (protect/options.hh) — the exact function the CLI calls, factored out
+ * (cli/options.hh) — the exact function the CLI calls, factored out
  * so malformed input can be proven to fail *before* any simulation
  * state exists. parseProtectCli returning false is what smtavf_cli maps
  * to exit code 2; the parser itself must never crash, never accept an
@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "base/rng.hh"
-#include "protect/options.hh"
+#include "cli/options.hh"
 #include "sim/experiment.hh"
 
 namespace smtavf
@@ -92,7 +92,7 @@ TEST(ProtectCliFuzz, ZeroAndRangeViolationsAreRejected)
     EXPECT_EQ(ok.scrubInterval, std::uint64_t{1} << 30);
     // --generations 0 is legal: seeds only, no expansion.
     auto g0 = expectAccept({"--explore=beam", "--generations", "0"});
-    EXPECT_EQ(g0.generations, 0u);
+    EXPECT_EQ(g0.beam.generations, 0u);
 }
 
 TEST(ProtectCliFuzz, PratFlagsRejectMalformedAndMisboundValues)
@@ -156,6 +156,9 @@ TEST(ProtectCliFuzz, CrossFlagConstraintsAreEnforced)
     expectReject({"--explore", "--journal", "j.journal"}, "--explore=beam");
     expectReject({"--explore=beam", "--resume"}, "--journal");
     expectReject({"--resume"}, "--journal");
+    expectReject({"--explore", "--shared-warmup", "--warmup", "5"},
+                 "--explore=beam");
+    expectReject({"--explore=beam", "--shared-warmup"}, "--warmup");
     // Constraint checks run after the whole vector: order must not matter.
     expectReject({"--scheme", "parity", "--explore=beam"}, "--scheme");
     expectReject({"--generations", "2", "--explore=prefix"},
@@ -169,23 +172,38 @@ TEST(ProtectCliFuzz, WellFormedVectorsParse)
                               "--budget", "100", "--journal", "b.journal",
                               "--resume", "--depth", "3", "--jobs", "2",
                               "--csv"});
-    EXPECT_TRUE(beam.explore);
-    EXPECT_EQ(beam.exploreMode, ExploreMode::Beam);
-    EXPECT_EQ(beam.beamWidth, 4u);
-    EXPECT_EQ(beam.generations, 2u);
-    EXPECT_EQ(beam.evalBudget, 100u);
-    EXPECT_EQ(beam.journalPath, "b.journal");
-    EXPECT_TRUE(beam.resume);
-    EXPECT_TRUE(beam.depthSet);
-    EXPECT_EQ(beam.depth, 3u);
+    EXPECT_EQ(beam.explore, "beam");
+    EXPECT_EQ(beam.beam.beamWidth, 4u);
+    EXPECT_EQ(beam.beam.generations, 2u);
+    EXPECT_EQ(beam.beam.evalBudget, 100u);
+    EXPECT_EQ(beam.beam.journalPath, "b.journal");
+    EXPECT_TRUE(beam.beam.resume);
+    EXPECT_TRUE(beam.gave("--depth"));
+    EXPECT_EQ(beam.beam.maxStructures, 3u);
+    EXPECT_EQ(beam.beam.scrubLadder,
+              ProtectionExplorer::defaultScrubLadder(10000));
     EXPECT_TRUE(beam.csv);
+    // Without --depth the full search keeps its own default of 6.
+    EXPECT_EQ(expectAccept({"--explore=beam"}).beam.maxStructures, 6u);
 
+    // --explore and --explore=prefix are the search's generation 0 alone,
+    // at one scrub rung: the requested interval.
     auto prefix = expectAccept({"--explore", "--depth", "2"});
-    EXPECT_EQ(prefix.exploreMode, ExploreMode::Prefix);
+    EXPECT_EQ(prefix.explore, "prefix");
+    EXPECT_EQ(prefix.beam.generations, 0u);
+    EXPECT_EQ(prefix.beam.maxStructures, 2u);
+    EXPECT_EQ(prefix.beam.scrubLadder, std::vector<Cycle>{10000});
+    auto bare = expectAccept({"--explore=prefix", "--scrub-interval", "500",
+                              "--warmup", "7"});
+    EXPECT_EQ(bare.explore, "prefix");
+    EXPECT_EQ(bare.beam.generations, 0u);
+    EXPECT_EQ(bare.beam.maxStructures, 4u); // --depth defaults to 4
+    EXPECT_EQ(bare.beam.scrubLadder, std::vector<Cycle>{500});
+    EXPECT_EQ(bare.beam.warmup, 7u);
 
     auto single = expectAccept({"--assign", "iq=secded+scrub@5000",
                                 "--assign", "rob=parity"});
-    EXPECT_FALSE(single.explore);
+    EXPECT_TRUE(single.explore.empty());
     EXPECT_EQ(single.assignSpec, "iq=secded+scrub@5000,rob=parity");
 
     // --help short-circuits: junk after it is never reached, matching the
@@ -231,21 +249,27 @@ TEST(ProtectCliFuzz, RandomTokenSoupNeverCrashesOrLiesAboutConsistency)
         if (out.help)
             continue;
         EXPECT_TRUE(err.empty());
-        bool beam = out.explore && out.exploreMode == ExploreMode::Beam;
+        bool beam = out.explore == "beam";
         if (!beam) {
-            EXPECT_TRUE(out.journalPath.empty());
+            EXPECT_TRUE(out.beam.journalPath.empty());
         }
-        if (out.resume) {
-            EXPECT_FALSE(out.journalPath.empty());
+        if (out.beam.resume) {
+            EXPECT_FALSE(out.beam.journalPath.empty());
         }
-        if (out.explore) {
+        if (!out.explore.empty()) {
             EXPECT_TRUE(out.schemeName.empty());
             EXPECT_TRUE(out.assignSpec.empty());
         }
+        if (out.explore == "prefix") {
+            // The preset: generation 0 alone, one rung at the interval.
+            EXPECT_EQ(out.beam.generations, 0u);
+            EXPECT_EQ(out.beam.scrubLadder,
+                      std::vector<Cycle>{out.scrubInterval});
+        }
         EXPECT_GE(out.scrubInterval, 1u);
         EXPECT_LE(out.scrubInterval, std::uint64_t{1} << 30);
-        EXPECT_GE(out.beamWidth, 1u);
-        EXPECT_GE(out.depth, 1u);
+        EXPECT_GE(out.beam.beamWidth, 1u);
+        EXPECT_GE(out.beam.maxStructures, 1u);
         EXPECT_GE(out.pratEpoch, 1u);
         EXPECT_LE(out.pratEpoch, std::uint64_t{1} << 30);
         EXPECT_LE(out.pratCap, std::uint64_t{1} << 20);

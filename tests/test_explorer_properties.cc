@@ -463,13 +463,13 @@ TEST(BeamProperties, L2PricingCaveatFiresExactlyWhenL2IsPricedUnderTracking)
                         untracked.priority.end(), HwStruct::L2Data),
               untracked.priority.end());
 
-    // The prefix sweep shares the tripwire.
+    // The prefix-sweep preset shares the tripwire.
     auto s = smallSetup();
     s.cfg.avf.trackL2Avf = true;
-    ProtectionExplorer prefix(s.cfg, s.mix, kBudget,
-                              /*max_depth=*/10);
+    ProtectionExplorer prefix(s.cfg, s.mix, kBudget);
     CampaignRunner pool(2);
-    auto swept = prefix.explore(pool);
+    auto swept =
+        prefix.exploreBeam(pool, ProtectionExplorer::prefixSweep(10000, 10));
     EXPECT_EQ(countWarnings(swept), 1u);
 }
 

@@ -3,20 +3,24 @@
  * Campaign-level tests for the protection explorer and the campaign CSV:
  * exploration must be bit-identical for any worker count (the
  * bench_fig9_protection determinism contract), the Pareto frontier must
- * hold its guaranteed shape, a protection change must invalidate
- * journaled results on resume, and campaignCsv() must emit full-arity
- * rows for failed runs (the historical ragged-row bug).
+ * hold its guaranteed shape, the prefix-sweep preset must reproduce the
+ * sweep it replaced, a protection change must invalidate journaled
+ * results on resume, and campaignCsv() must emit full-arity rows for
+ * failed runs (the historical ragged-row bug).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
+#include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "explorer_synthetic.hh"
 #include "protect/explorer.hh"
 #include "sim/journal.hh"
 #include "test_util.hh"
@@ -29,12 +33,14 @@ namespace
 constexpr std::uint64_t kBudget = 3000;
 
 ProtectionExplorer
-smallExplorer(unsigned max_depth = 3)
+smallExplorer()
 {
     const auto &mix = findMix("2ctx-mix-A");
-    return ProtectionExplorer(table1Config(mix.contexts), mix, kBudget,
-                              max_depth);
+    return ProtectionExplorer(table1Config(mix.contexts), mix, kBudget);
 }
+
+/** The prefix sweep `protect --explore --depth 3` runs. */
+const BeamOptions kPrefix3 = ProtectionExplorer::prefixSweep(10000, 3);
 
 void
 expectSamePoint(const ProtectionPoint &a, const ProtectionPoint &b)
@@ -52,9 +58,9 @@ TEST(Explorer, BitIdenticalAcrossWorkerCounts)
 {
     auto explorer = smallExplorer();
     CampaignRunner serial(1);
-    auto a = explorer.explore(serial);
+    auto a = explorer.exploreBeam(serial, kPrefix3);
     CampaignRunner parallel(4);
-    auto b = explorer.explore(parallel);
+    auto b = explorer.exploreBeam(parallel, kPrefix3);
 
     ASSERT_EQ(a.priority, b.priority);
     ASSERT_EQ(a.points.size(), b.points.size());
@@ -63,6 +69,7 @@ TEST(Explorer, BitIdenticalAcrossWorkerCounts)
         expectSamePoint(a.points[i], b.points[i]);
     }
     EXPECT_EQ(a.frontier, b.frontier);
+    EXPECT_EQ(a.trace.size(), b.trace.size());
     EXPECT_EQ(a.csv(), b.csv());
 }
 
@@ -70,14 +77,16 @@ TEST(Explorer, FrontierShapeAndSerIdentities)
 {
     auto explorer = smallExplorer();
     CampaignRunner pool(2);
-    auto result = explorer.explore(pool);
+    auto result = explorer.exploreBeam(pool, kPrefix3);
 
-    // Baseline first, then 3 schemes x depth candidates.
+    // Baseline first, then 3 schemes x depth candidates, each either
+    // simulated or pruned by the cost-model proof.
     ASSERT_FALSE(result.points.empty());
     EXPECT_EQ(result.points[0].label, "none");
     EXPECT_FALSE(result.points[0].protection.any());
     ASSERT_GE(result.priority.size(), 3u);
-    EXPECT_EQ(result.points.size(), 1u + 3u * 3u);
+    EXPECT_EQ(result.evaluations + result.prunedCount, 3u * 3u);
+    EXPECT_EQ(result.points.size(), 1u + result.evaluations);
 
     std::size_t protected_on_frontier = 0;
     for (auto i : result.frontier) {
@@ -108,21 +117,208 @@ TEST(Explorer, FrontierShapeAndSerIdentities)
 
 TEST(Explorer, CandidatesCoverSchemesTimesDepth)
 {
-    std::vector<HwStruct> priority = {HwStruct::ROB, HwStruct::IQ,
-                                      HwStruct::LsqTag};
-    auto configs = ProtectionExplorer::candidates(priority, 500, 2);
-    ASSERT_EQ(configs.size(), 3u * 2u); // 3 schemes x depth 2
-    for (const auto &c : configs) {
-        EXPECT_TRUE(c.any());
-        EXPECT_EQ(c.scrubInterval, 500u);
-        // Depth-k candidates protect a prefix of the priority list.
-        EXPECT_NE(c.schemeFor(HwStruct::ROB), ProtScheme::None);
-        EXPECT_EQ(c.schemeFor(HwStruct::LsqTag), ProtScheme::None);
+    // A synthetic evaluator stands in for the simulator: the preset's
+    // candidates are a function of the hotspot ranking alone.
+    auto explorer = smallExplorer();
+    CampaignRunner pool(1);
+    for (unsigned depth : {2u, 99u}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        BeamOptions opt = ProtectionExplorer::prefixSweep(500, depth);
+        opt.runFn = [](const Experiment &e, std::size_t) {
+            return syntheticExplorerRun(e, 1);
+        };
+        auto result = explorer.exploreBeam(pool, opt);
+        ASSERT_GE(result.priority.size(), 3u);
+        // 3 schemes x depth; depth never exceeds the ranking.
+        const std::size_t k = std::min<std::size_t>(depth,
+                                                     result.priority.size());
+        ASSERT_EQ(result.trace.size(), 3u * k);
+        EXPECT_EQ(result.evaluations + result.prunedCount, 3u * k);
+        for (const auto &t : result.trace) {
+            SCOPED_TRACE(t.assignment);
+            EXPECT_EQ(t.generation, 0u);
+            ProtectionConfig c;
+            std::string err;
+            ASSERT_TRUE(parseAssignment(t.assignment, c, err)) << err;
+            // One scheme on a prefix of the ranking, scrubbing at the
+            // requested interval.
+            std::size_t covered = 0;
+            for (std::size_t i = 0; i < result.priority.size(); ++i) {
+                auto sc = c.schemeFor(result.priority[i]);
+                if (sc == ProtScheme::None)
+                    continue;
+                EXPECT_EQ(i, covered) << "not a prefix of the ranking";
+                EXPECT_EQ(sc, c.schemeFor(result.priority[0]));
+                if (sc == ProtScheme::SecdedScrub) {
+                    EXPECT_EQ(c.scrubIntervalFor(result.priority[i]), 500u);
+                }
+                ++covered;
+            }
+            EXPECT_GE(covered, 1u);
+            EXPECT_LE(covered, k);
+        }
     }
-    // Depth never exceeds the priority list.
-    EXPECT_EQ(ProtectionExplorer::candidates(priority, 500, 9).size(),
-              3u * 3u);
 }
+
+// --- the prefix-sweep preset against the sweep it replaced --------------
+
+/** Per-structure scheme plus the effective scrub interval, as one key. */
+std::string
+assignmentKey(const ProtectionConfig &p)
+{
+    std::string key;
+    for (std::size_t i = 0; i < numHwStructs; ++i) {
+        auto s = static_cast<HwStruct>(i);
+        if (p.schemeFor(s) == ProtScheme::None)
+            continue;
+        key += std::string(hwStructKey(s)) + '=' +
+               protSchemeName(p.schemeFor(s));
+        if (p.schemeFor(s) == ProtScheme::SecdedScrub)
+            key += '@' + std::to_string(p.scrubIntervalFor(s));
+        key += ' ';
+    }
+    return key.empty() ? "none" : key;
+}
+
+/**
+ * Reference model of the prefix sweep as a plain candidate loop: the
+ * unprotected baseline ranks the hotspots, then parity, SECDED and
+ * SECDED+scrub each protect the top-1..depth of them, every candidate
+ * simulated at the requested @p scrub interval.
+ */
+std::map<std::string, ProtectionPoint>
+referencePrefixFrontier(const MachineConfig &base, const WorkloadMix &mix,
+                        unsigned depth, Cycle scrub)
+{
+    const auto bits = structureBitCapacities(base);
+    AvfReport base_avf;
+    auto evaluate = [&](const ProtectionConfig &prot) {
+        Experiment e;
+        e.cfg = base;
+        e.cfg.protection = prot;
+        e.mix = mix;
+        e.budget = kBudget;
+        SimResult r = runExperiment(e);
+        if (!prot.any())
+            base_avf = r.avf;
+        ProtectionPoint p;
+        p.protection = prot;
+        p.rawSer = serProxy(r.avf, bits, /*residual=*/false);
+        p.residualSer = serProxy(r.avf, bits, /*residual=*/true);
+        auto cost = protectionCost(e.cfg);
+        p.areaOverhead = cost.areaOverhead;
+        p.energyOverhead = cost.energyOverhead;
+        p.ipc = r.ipc;
+        return p;
+    };
+    std::vector<ProtectionPoint> points = {evaluate({})};
+    std::vector<HwStruct> priority;
+    for (auto s : AvfReport::figureStructs())
+        if (base_avf.avf(s) > 0.0)
+            priority.push_back(s);
+    std::stable_sort(priority.begin(), priority.end(),
+                     [&](HwStruct a, HwStruct b) {
+                         return base_avf.avf(a) > base_avf.avf(b);
+                     });
+    const std::size_t k_max = std::min<std::size_t>(depth, priority.size());
+    for (auto scheme : {ProtScheme::Parity, ProtScheme::Secded,
+                        ProtScheme::SecdedScrub}) {
+        for (std::size_t k = 1; k <= k_max; ++k) {
+            ProtectionConfig p;
+            p.scrubInterval = scrub;
+            for (std::size_t i = 0; i < k; ++i)
+                p.assign(priority[i], scheme);
+            points.push_back(evaluate(p));
+        }
+    }
+    std::map<std::string, ProtectionPoint> frontier;
+    for (auto i : ProtectionExplorer::paretoFrontier(points))
+        frontier[assignmentKey(points[i].protection)] = points[i];
+    return frontier;
+}
+
+struct PrefixCase
+{
+    const char *mix;
+    FetchPolicyKind policy;
+    unsigned depth;
+    Cycle scrub;
+};
+
+std::string
+caseName(const PrefixCase &c)
+{
+    std::string mix = c.mix;
+    std::replace(mix.begin(), mix.end(), '-', '_');
+    return mix + "_" + fetchPolicyName(c.policy) + "_depth" +
+           std::to_string(c.depth) + "_scrub" + std::to_string(c.scrub);
+}
+
+/** CTest names each case after its printed value: keep it stable. */
+void
+PrintTo(const PrefixCase &c, std::ostream *os)
+{
+    *os << caseName(c);
+}
+
+std::vector<PrefixCase>
+prefixCases()
+{
+    std::vector<PrefixCase> out;
+    for (const char *mix : {"2ctx-mix-A", "4ctx-mix-A"})
+        for (auto policy : {FetchPolicyKind::Icount, FetchPolicyKind::PRat})
+            for (unsigned depth : {2u, 4u})
+                for (Cycle scrub : {Cycle{500}, Cycle{10000}})
+                    out.push_back({mix, policy, depth, scrub});
+    return out;
+}
+
+class ExplorerPrefix : public ::testing::TestWithParam<PrefixCase>
+{
+};
+
+// The --explore preset and the reference sweep must reach the same
+// frontier, bit for bit. Pruning may skip simulating candidates the
+// reference evaluates, but only dominated ones. The 500-cycle cases pin
+// that the preset scrubs at the requested interval, not the default.
+TEST_P(ExplorerPrefix, PresetMatchesReferenceSweep)
+{
+    const auto &[mix_name, policy, depth, scrub] = GetParam();
+    const auto &mix = findMix(mix_name);
+    MachineConfig cfg = table1Config(mix.contexts);
+    cfg.fetchPolicy = policy;
+
+    ProtectionExplorer explorer(cfg, mix, kBudget);
+    CampaignRunner pool(2);
+    auto result =
+        explorer.exploreBeam(pool, ProtectionExplorer::prefixSweep(scrub,
+                                                                   depth));
+    EXPECT_EQ(result.evaluations + result.prunedCount,
+              3u * std::min<std::size_t>(depth, result.priority.size()));
+    std::map<std::string, ProtectionPoint> preset;
+    for (auto i : result.frontier)
+        preset[assignmentKey(result.points[i].protection)] =
+            result.points[i];
+
+    auto reference = referencePrefixFrontier(cfg, mix, depth, scrub);
+    ASSERT_EQ(preset.size(), reference.size());
+    for (const auto &[key, want] : reference) {
+        SCOPED_TRACE(key);
+        auto it = preset.find(key);
+        ASSERT_NE(it, preset.end()) << "missing from the preset frontier";
+        const ProtectionPoint &got = it->second;
+        EXPECT_EQ(got.residualSer, want.residualSer); // bit-exact
+        EXPECT_EQ(got.areaOverhead, want.areaOverhead);
+        EXPECT_EQ(got.energyOverhead, want.energyOverhead);
+        EXPECT_EQ(got.ipc, want.ipc);
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(MixPolicyDepthScrub, ExplorerPrefix,
+                         ::testing::ValuesIn(prefixCases()),
+                         [](const auto &info) {
+                             return caseName(info.param);
+                         });
 
 TEST(Explorer, ParetoFrontierFiltersDominatedPoints)
 {

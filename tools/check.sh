@@ -25,6 +25,9 @@ coverage_gate=94
 # differential/property suite plus the policy unit tests must keep the
 # throttling arithmetic exercised end to end.
 policy_coverage_gate=90
+# The CLI option table (src/cli/): every row, validator and cross-flag
+# rule is reached by the run/campaign/protect fuzz suites.
+cli_coverage_gate=95
 
 for preset in $presets; do
     build="$repo/build-$preset"
@@ -176,11 +179,12 @@ for preset in $presets; do
         # extra signal: the gates price src/protect/ and src/policy/
         # only, so run the tests that exercise those surfaces.
         (cd "$build" && ctest --output-on-failure -j "$jobs" -R \
-            'ProtScheme|ProtectionConfig|ProtectedRun|CostModel|Coverage|Explorer|BeamProperties|ProtectCliFuzz|CampaignCsv|PolicyProperties|PolicyTest|FactoryTest')
+            'ProtScheme|ProtectionConfig|ProtectedRun|CostModel|Coverage|Explorer|BeamProperties|ProtectCliFuzz|RunCliFuzz|CampaignCliFuzz|CliHelp|CampaignCsv|PolicyProperties|PolicyTest|FactoryTest')
         echo "==> [$preset] gate"
         python3 "$repo/tools/coverage_gate.py" "$build" \
             src/protect/ "$coverage_gate" \
-            src/policy/ "$policy_coverage_gate"
+            src/policy/ "$policy_coverage_gate" \
+            src/cli/ "$cli_coverage_gate"
     else
         (cd "$build" && ctest --output-on-failure -j "$jobs")
     fi
@@ -193,11 +197,14 @@ for preset in $presets; do
         "$build/bench/bench_micro_sim" --benchmark_min_time=0.05 \
             --benchmark_filter='BM_SimulatedInstructions' >/dev/null
 
-        # End-to-end flag validation: malformed protect invocations, and
+        # End-to-end flag validation: malformed protect invocations,
         # counts too large for their field (which used to wrap silently),
-        # must exit 2 (usage error) without starting a run. The
-        # unit-level equivalent is tests/test_explorer_fuzz.cc; this leg
-        # pins the parser-to-exit-code wiring in the installed binary.
+        # shard specs with trailing junk or a count past 32 bits, output
+        # flags --replicas would drop, and non-finite durations must exit
+        # 2 (usage error) without starting a run. The unit-level
+        # equivalents are tests/test_explorer_fuzz.cc and
+        # tests/test_cli_fuzz.cc; this leg pins the parser-to-exit-code
+        # wiring in the installed binary.
         echo "==> [$preset] cli flag smoke"
         small='--contexts 2 --instructions 2000'
         for bad in 'protect --explore=bogus' 'protect --beam-width 4' \
@@ -212,7 +219,18 @@ for preset in $presets; do
                    "campaign --retries 4294967296 $small" \
                    "campaign --isolate process --runs-per-child 4294967296 $small" \
                    "campaign --isolate process --child-mem 17592186044416 $small" \
-                   'run --replicas 4294967298 --instructions 2000'; do
+                   'run --replicas 4294967298 --instructions 2000' \
+                   "campaign --shard 0/4x $small" \
+                   "campaign --shard 0/4/7 $small" \
+                   "campaign --shard +0/4 $small" \
+                   "campaign --shard 0/+4 $small" \
+                   "campaign --shard 0/99999999999 $small" \
+                   'run --replicas 2 --json --instructions 2000' \
+                   'run --replicas 2 --csv --instructions 2000' \
+                   'run --replicas 2 --timeline-csv --instructions 2000' \
+                   "campaign --isolate process --hard-timeout inf $small" \
+                   "campaign --timeout nan $small" \
+                   "campaign --backoff inf $small"; do
             set +e
             # shellcheck disable=SC2086  # word splitting is the point
             "$build/tools/smtavf_cli" $bad >/dev/null 2>&1
