@@ -18,8 +18,8 @@ MemHierarchy::MemHierarchy(const MemConfig &cfg)
     // NOTE: do not reserve() these maps. drainMshrs replays fills in map
     // iteration order, which depends on the bucket count — changing it
     // reorders same-cycle ledger writes and perturbs the floating-point
-    // AVF sums. Outstanding misses stay far below the default bucket
-    // count anyway, so the maps never rehash in steady state.
+    // AVF sums. The maps do rehash as outstanding misses grow past their
+    // bucket count, and every rehash reorders later drains.
 }
 
 void
@@ -30,6 +30,12 @@ MemHierarchy::reset()
     l2_.reset();
     itlb_.reset();
     dtlb_.reset();
+    renewMshrs();
+}
+
+void
+MemHierarchy::renewMshrs()
+{
     PoolAlloc<std::pair<const Addr, Mshr>> alloc(mshrPool_);
     il1Mshrs_ = MshrMap(alloc);
     dl1Mshrs_ = MshrMap(alloc);

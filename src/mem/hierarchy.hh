@@ -88,15 +88,23 @@ class MemHierarchy
 
     /**
      * Worker-reuse hook: restore the exact post-construction state.
-     * Caches/TLBs reset in place; the MSHR maps are replaced by fresh
-     * default-constructed maps over the same node pool, because a
-     * cleared map keeps its grown bucket array while a fresh one starts
-     * from the implementation's default — and bucket count feeds the
-     * iteration order fills replay in (see the constructor note).
-     * Allocation-free: the moved-from temporaries start on libstdc++'s
-     * static single-bucket placeholder.
+     * Caches/TLBs reset in place; the MSHR maps are renewed
+     * (renewMshrs()).
      */
     void reset();
+
+    /**
+     * Replace the three MSHR maps by fresh default-constructed maps over
+     * the same node pool. An emptied map keeps the bucket array it grew
+     * to, while a fresh one starts from the implementation's default, and
+     * the bucket count feeds the iteration order fills land in (see
+     * MshrMap). The simulator calls this once a drain has emptied the
+     * maps, so a run that continues past a drained boundary fills lines
+     * in the same order as one restored from that boundary's checkpoint,
+     * which starts with fresh maps. Allocation-free: the moved-from
+     * temporaries start on libstdc++'s static single-bucket placeholder.
+     */
+    void renewMshrs();
 
     Cache &il1() { return il1_; }
     Cache &dl1() { return dl1_; }
@@ -160,10 +168,12 @@ class MemHierarchy
     /**
      * MSHR table with pooled hash nodes: every miss used to allocate (and
      * every fill free) one map node on the global heap; the SlabPool
-     * recycles them instead. In libstdc++ the iteration order of an
-     * unordered_map depends only on hashes and insertion sequence — never
-     * on the allocator — so drain order, and with it every cache-fill
-     * timestamp the AVF observers see, is unchanged.
+     * recycles them instead. drainMshrs() and tick() land fills in the
+     * map's iteration order. In libstdc++ that order depends on the
+     * hashes, the insertion sequence and the bucket count, which a map
+     * keeps from its largest population since it was created (a rehash
+     * reorders the nodes). It never depends on the allocator, so pooling
+     * changed no drain order.
      */
     using MshrMap =
         std::unordered_map<Addr, Mshr, std::hash<Addr>, std::equal_to<Addr>,

@@ -347,6 +347,9 @@ Simulator::drainPipeline(LoopState &ls)
     }
     if (cfg_.invariantCheckCycles > 0)
         checkSlotsReleased(*core_, core_->now());
+    // A restore from this boundary starts with fresh MSHR maps; so must
+    // the run that continues past it.
+    hier_.renewMshrs();
     core_->setFetchEnabled(true);
     // Instructions committed during the drain: refresh the watchdog so it
     // times the post-boundary window, not the boundary itself.

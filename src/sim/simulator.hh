@@ -222,8 +222,8 @@ class Simulator
 
     /**
      * Disable fetch and tick until the pipeline and MSHRs are empty
-     * (bounded; SMTAVF_FATAL if quiescence is never reached), then
-     * re-enable fetch.
+     * (bounded; SMTAVF_FATAL if quiescence is never reached), renew the
+     * MSHR maps (MemHierarchy::renewMshrs), then re-enable fetch.
      */
     void drainPipeline(LoopState &ls);
 

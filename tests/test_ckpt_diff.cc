@@ -4,7 +4,10 @@
  * subsystem): restore-then-run must be bit-identical — on serializeRun()
  * wire bytes, which compare every double to the last mantissa bit — to
  * the run that captured the checkpoint and continued, at 2/4/8 contexts
- * across two fetch policies; and shared-warmup campaigns must reproduce
+ * across two fetch policies, and at the drained boundary of seeds whose
+ * DL1 fill order once leaked across it (both for `--warmup` against the
+ * restored warmup checkpoint and for `--checkpoint-at` against its own
+ * restore); and shared-warmup campaigns must reproduce
  * per-run-warmup results exactly in BOTH isolation modes, including
  * `--isolate process` where the warmup checkpoint crosses a fork via a
  * temp file. Lives in the isolate-test binary (chaos label): the process
@@ -73,27 +76,94 @@ matrixExperiment(const MatrixCase &c)
     return e;
 }
 
+/**
+ * Run @p e for e.budget instructions with a checkpoint captured at
+ * @p capture, restore that checkpoint into a fresh simulator, finish the
+ * budget there, and require the two records to be the same bytes.
+ */
+void
+expectRestoreMatchesContinuedRun(const Experiment &e, std::uint64_t capture)
+{
+    Checkpoint ck;
+    RunControls rc;
+    rc.checkpointAt = capture;
+    rc.checkpointCapture = &ck;
+    Simulator a(e.cfg, e.mix);
+    SimResult ra = a.run(e.budget, rc);
+    ASSERT_FALSE(ck.empty());
+
+    Simulator b(e.cfg, e.mix);
+    b.restore(ck);
+    ASSERT_LT(b.restoredCommitted(), e.budget);
+    SimResult rb = b.run(e.budget - b.restoredCommitted());
+
+    std::uint64_t fp = experimentFingerprint(e);
+    EXPECT_EQ(serializeRun(fp, ra), serializeRun(fp, rb));
+}
+
 TEST(CkptDifferential, RestoreMatchesContinuedRunAcrossMatrix)
 {
     for (const auto &c : kMatrix) {
         Experiment e = matrixExperiment(c);
         SCOPED_TRACE(e.label);
+        expectRestoreMatchesContinuedRun(e, kCapture);
+    }
+}
 
-        Checkpoint ck;
+/** A run whose DL1 fill order once leaked across a drained boundary. */
+struct BoundaryCase
+{
+    const char *mix;
+    std::uint64_t seed;
+};
+
+// The boundary drain empties the MSHR maps but used to leave them with
+// the bucket arrays they had grown to, while a restored simulator starts
+// with fresh maps; fills then landed in a different order, and one
+// thread's DL1 data and tag AVF moved in the low bits. These ICOUNT runs
+// (20000-instruction boundary, 16000-instruction window) differed that
+// way before the simulator renewed the maps at the boundary.
+const BoundaryCase kBoundaryCases[] = {
+    {"4ctx-mix-A", 14}, {"4ctx-mix-A", 24}, {"8ctx-mem-A", 1},
+    {"8ctx-mem-A", 12}, {"2ctx-mem-A", 12}, {"4ctx-mem-A", 21},
+};
+
+constexpr std::uint64_t kBoundary = 20'000;
+constexpr std::uint64_t kWindow = 16'000;
+
+TEST(CkptDifferential, WarmupBoundaryRunMatchesRestore)
+{
+    for (const auto &c : kBoundaryCases) {
+        Experiment e =
+            makeExperiment(findMix(c.mix), FetchPolicyKind::Icount, kWindow);
+        e.cfg.seed = c.seed;
+        e.warmup = kBoundary;
+        SCOPED_TRACE(e.label + " seed " + std::to_string(c.seed));
+
         RunControls rc;
-        rc.checkpointAt = kCapture;
-        rc.checkpointCapture = &ck;
-        Simulator a(e.cfg, e.mix);
-        SimResult ra = a.run(kBudget, rc);
-        ASSERT_FALSE(ck.empty());
+        rc.warmup = kBoundary;
+        Simulator inline_warm(e.cfg, e.mix);
+        SimResult ra = inline_warm.run(kWindow, rc);
 
-        Simulator b(e.cfg, e.mix);
-        b.restore(ck);
-        ASSERT_LT(b.restoredCommitted(), kBudget);
-        SimResult rb = b.run(kBudget - b.restoredCommitted());
+        Simulator capture(e.cfg, e.mix);
+        Checkpoint ck = capture.captureWarmupCheckpoint(kBoundary);
+        Simulator restored(e.cfg, e.mix);
+        restored.restore(ck);
+        SimResult rb = restored.run(kWindow);
 
         std::uint64_t fp = experimentFingerprint(e);
         EXPECT_EQ(serializeRun(fp, ra), serializeRun(fp, rb));
+    }
+}
+
+TEST(CkptDifferential, CheckpointBoundaryRunMatchesRestore)
+{
+    for (const auto &c : kBoundaryCases) {
+        Experiment e = makeExperiment(findMix(c.mix), FetchPolicyKind::Icount,
+                                      kBoundary + kWindow);
+        e.cfg.seed = c.seed;
+        SCOPED_TRACE(e.label + " seed " + std::to_string(c.seed));
+        expectRestoreMatchesContinuedRun(e, kBoundary);
     }
 }
 

@@ -152,6 +152,20 @@ for preset in $presets; do
             > "$tmp/restored.txt"
         cmp "$tmp/ref.txt" "$tmp/restored.txt"
 
+        # Fill order across the drained boundary: the MSHR maps land fills
+        # in bucket order, so the capturing run must renew them at the
+        # boundary as a restore starts fresh. This run's DL1-tag AVF
+        # differed from its restore's while the grown maps were kept.
+        echo "==> [$preset] checkpoint boundary fill-order smoke"
+        args="--mix 8ctx-mem-A --seed 12 --instructions 60000"
+        # shellcheck disable=SC2086
+        "$cli" run $args --checkpoint-at 30000 \
+            --checkpoint-out "$tmp/mem.ckpt" --json > "$tmp/mem-ref.json"
+        # shellcheck disable=SC2086
+        "$cli" run $args --restore "$tmp/mem.ckpt" --json \
+            > "$tmp/mem-restored.json"
+        cmp "$tmp/mem-ref.json" "$tmp/mem-restored.json"
+
         # Damage rejection: exit code 4, distinct from sim failure (1)
         # and usage (2).
         cp "$tmp/ref.ckpt" "$tmp/flip.ckpt"
