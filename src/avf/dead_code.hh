@@ -78,16 +78,6 @@ class DeadCodeAnalyzer
     std::uint64_t deadInstructions() const { return deadCount_; }
     std::uint64_t resolvedInstructions() const { return resolvedCount_; }
 
-    /** Worker-reuse hook: no pending producers, counters zeroed. */
-    void
-    reset()
-    {
-        pending_.assign(pending_.size(), {});
-        trace_ = nullptr;
-        deadCount_ = 0;
-        resolvedCount_ = 0;
-    }
-
     /** Fraction of resolved register-writing instructions found dead. */
     double
     deadFraction() const

@@ -103,19 +103,6 @@ AvfLedger::finalize(Cycle total_cycles)
 }
 
 void
-AvfLedger::reset()
-{
-    ace_.fill(0);
-    unAce_.fill(0);
-    aceCovered_.fill(0);
-    aceResidual_.fill(0);
-    applyProtection(ProtectionConfig{});
-    totalCycles_ = 0;
-    baseCycle_ = 0;
-    finalized_ = false;
-}
-
-void
 AvfLedger::resetTallies(Cycle boundary)
 {
     if (finalized_)

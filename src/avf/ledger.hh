@@ -172,14 +172,6 @@ class AvfLedger
      */
     void resetTallies(Cycle boundary);
 
-    /**
-     * Worker-reuse hook: back to the exact post-construction state —
-     * tallies zeroed, window base and protection cleared, un-finalized.
-     * Structure geometry persists (the reusing core re-declares the same
-     * bits). setProtection() becomes legal again. Allocation-free.
-     */
-    void reset();
-
     /** Start cycle of the measured window (0 unless resetTallies ran). */
     Cycle baseCycle() const { return baseCycle_; }
 

@@ -57,14 +57,6 @@ class CacheVulnTracker : public CacheObserver
     /** Tag bits modelled per line (address tag + valid/dirty/LRU state). */
     std::uint32_t tagBitsPerLine() const { return tagBits_; }
 
-    /** Worker-reuse hook: exact post-construction state, allocation-free. */
-    void
-    reset()
-    {
-        lines_.assign(lines_.size(), LineState{});
-        units_.assign(units_.size(), 0);
-    }
-
     /**
      * Checkpoint hook: the open residency intervals (absolute cycles; the
      * restored clock continues from the same value, so they close with
@@ -154,9 +146,6 @@ class TlbVulnTracker : public TlbObserver
     void onFill(std::uint32_t slot, ThreadId tid, Cycle now) override;
     void onHit(std::uint32_t slot, ThreadId tid, Cycle now) override;
     void onEvict(std::uint32_t slot, Cycle now) override;
-
-    /** Worker-reuse hook: exact post-construction state, allocation-free. */
-    void reset() { entries_.assign(entries_.size(), EntryState{}); }
 
     /** Checkpoint hook (see CacheVulnTracker::serialize). */
     template <class Ar>

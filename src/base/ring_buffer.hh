@@ -96,10 +96,11 @@ class RingBuffer
     }
 
     /**
-     * Worker-reuse hook: clear() plus rewind the head to slot 0, so the
-     * physical layout matches a freshly constructed ring exactly (the
-     * logical contents would match either way; this keeps even the grow()
-     * copy pattern identical across reuses).
+     * clear() plus rewind the head to slot 0, so the physical layout
+     * matches a freshly constructed ring exactly (the logical contents
+     * would match either way; this keeps even the grow() copy pattern
+     * identical). The core empties its pipeline queues this way
+     * (SmtCore::clearInFlight).
      */
     void
     reset()

@@ -36,16 +36,6 @@ class Btb
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 
-    /** Worker-reuse hook: all entries invalid, clock and counters zero. */
-    void
-    reset()
-    {
-        entries_.assign(entries_.size(), Entry{});
-        useClock_ = 0;
-        hits_ = 0;
-        misses_ = 0;
-    }
-
     /** Checkpoint hook: entries, LRU clock and hit/miss counters. */
     template <class Ar>
     void

@@ -52,14 +52,6 @@ class Gshare
     /** Fix the history to the resolved outcome after a misprediction. */
     void correctHistory(std::uint32_t pre_branch_history, bool taken);
 
-    /** Worker-reuse hook: weakly-taken counters, empty history. */
-    void
-    reset()
-    {
-        table_.assign(table_.size(), 2);
-        history_ = 0;
-    }
-
     /** Checkpoint hook: mutable state only (geometry is config-derived). */
     template <class Ar>
     void

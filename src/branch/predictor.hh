@@ -69,17 +69,6 @@ class ThreadPredictor
                          : 0.0;
     }
 
-    /** Worker-reuse hook: untrained tables, zeroed counters. */
-    void
-    reset()
-    {
-        gshare_.reset();
-        btb_.reset();
-        ras_.reset();
-        branches_ = 0;
-        mispredicts_ = 0;
-    }
-
     /** Checkpoint hook: all three structures plus the counters. */
     template <class Ar>
     void

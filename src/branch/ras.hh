@@ -41,15 +41,6 @@ class Ras
     State save() const { return {top_, depth_}; }
     void restore(State s);
 
-    /** Worker-reuse hook: empty stack, zeroed slots. */
-    void
-    reset()
-    {
-        stack_.assign(stack_.size(), 0);
-        top_ = 0;
-        depth_ = 0;
-    }
-
     /** Checkpoint hook. */
     template <class Ar>
     void

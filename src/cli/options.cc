@@ -28,7 +28,7 @@ enum class Kind : std::uint8_t
 {
     Stop,    ///< set its bool and read no further (--help, --list, ...)
     On,      ///< switch that sets its bool
-    Off,     ///< switch that clears its bool (--no-reuse, ...)
+    Off,     ///< switch that clears its bool (--no-prewarm, ...)
     Text,    ///< a string; a list target keeps every value
     Join,    ///< repeatable string, values comma-joined (--assign)
     Number,  ///< strict unsigned integer in [lo, hi]
@@ -158,11 +158,8 @@ const Row kRows[] = {
          "crashes are classified, not fatal",
          Kind::Isolate),
     number("--runs-per-child", "N", 1, kMax,
-           "process: batch N runs into one child over a reused simulator "
+           "process: batch N runs into one child, amortizing the fork "
            "(default 1)"),
-    toggle("--no-reuse", Kind::Off,
-           "construct a simulator per run instead of resetting a "
-           "worker-local one"),
     text("--hard-timeout", "SECONDS",
          "process: SIGKILL a child past this wall clock (per run, scaled "
          "by --runs-per-child; 0 = off)",
@@ -271,7 +268,6 @@ bindings(CampaignCliOptions &o)
         {"--retries", &c.retries}, {"--timeout", &c.softTimeoutSeconds},
         {"--shard", &o.shard}, {"--isolate", &c.isolate},
         {"--runs-per-child", &c.runsPerChild},
-        {"--no-reuse", &c.reuseWorkers},
         {"--hard-timeout", &c.hardTimeoutSeconds},
         {"--child-cpu", &c.childCpuSeconds},
         {"--child-mem", &c.childMemoryBytes},
@@ -368,7 +364,7 @@ brokenRule(const CampaignCliOptions &o)
                "process";
     if (c.runsPerChild > 1 && !process)
         return "--runs-per-child needs --isolate process (thread mode "
-               "already reuses workers in-process)";
+               "forks no child to amortize)";
     if (process && c.cancelCheckCycles > 0)
         return "--cancel-check is a thread-mode knob; process children are "
                "interrupted by the supervisor";

@@ -8,7 +8,6 @@
 #ifndef SMTAVF_CORE_FU_POOL_HH
 #define SMTAVF_CORE_FU_POOL_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -77,14 +76,6 @@ class FuPool
     std::uint64_t totalBits() const
     {
         return static_cast<std::uint64_t>(cfg_.total()) * bits::fuLatch;
-    }
-
-    /** Worker-reuse hook: every unit idle, as freshly constructed. */
-    void
-    reset()
-    {
-        for (auto &bank : busyUntil_)
-            std::fill(bank.begin(), bank.end(), Cycle{0});
     }
 
     /**

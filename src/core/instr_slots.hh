@@ -57,7 +57,7 @@ class InstrSlots
         --live_;
     }
 
-    /** Free every slot (worker reuse, end of run). */
+    /** Free every slot (construction, restore, end of run). */
     void
     reset()
     {

@@ -87,7 +87,7 @@ class IssueQueue
      */
     void removeAt(const std::uint32_t *pos, std::uint32_t n);
 
-    /** Worker-reuse hook: empty the queue, capacity retained. */
+    /** Empty the queue, capacity retained (SmtCore::clearInFlight). */
     void
     reset()
     {

@@ -82,7 +82,7 @@ class Lsq
     auto begin() const { return entries_.begin(); }
     auto end() const { return entries_.end(); }
 
-    /** Worker-reuse hook: empty the ring, capacity retained. */
+    /** Empty the ring, capacity retained (SmtCore::clearInFlight). */
     void
     reset()
     {

@@ -14,7 +14,7 @@ PhysRegFile::PhysRegFile(std::uint32_t num_int, std::uint32_t num_fp,
 {
     if (num_int == 0 || num_fp == 0)
         SMTAVF_FATAL("register pool needs both int and fp registers");
-    clearReady();
+    ready_[0] = 1; // invalidReg: nothing written, always ready
     freeIntList_.reserve(num_int);
     freeFpList_.reserve(num_fp);
     // Pop from the back; seed so low indices come out first.
@@ -24,32 +24,6 @@ PhysRegFile::PhysRegFile(std::uint32_t num_int, std::uint32_t num_fp,
         freeFpList_.push_back(
             static_cast<RegIndex>(num_int + num_fp - 1 - i));
     ledger_.setStructureBits(HwStruct::RegFile, totalBits());
-}
-
-void
-PhysRegFile::reset()
-{
-    freeInt_ = numInt_;
-    freeFp_ = numFp_;
-    allocatedBy_.fill(0);
-    regs_.assign(regs_.size(), Reg{});
-    clearReady();
-    freeIntList_.clear();
-    freeFpList_.clear();
-    // Same seeding as the constructor: pop from the back, low indices first.
-    for (std::uint32_t i = 0; i < numInt_; ++i)
-        freeIntList_.push_back(static_cast<RegIndex>(numInt_ - 1 - i));
-    for (std::uint32_t i = 0; i < numFp_; ++i)
-        freeFpList_.push_back(
-            static_cast<RegIndex>(numInt_ + numFp_ - 1 - i));
-    ledger_.setStructureBits(HwStruct::RegFile, totalBits());
-}
-
-void
-PhysRegFile::clearReady()
-{
-    ready_.assign(ready_.size(), 0);
-    ready_[0] = 1; // invalidReg
 }
 
 std::uint64_t

@@ -120,13 +120,6 @@ class PhysRegFile
     }
 
     /**
-     * Worker-reuse hook: exact post-construction state — all registers
-     * free, both free lists re-seeded in constructor pop order (low
-     * indices pop first). Allocation-free (capacity is retained).
-     */
-    void reset();
-
-    /**
      * Fault injection for the invariant-checker tests ONLY: overwrite one
      * free-list slot with an arbitrary register index, modelling the kind
      * of bookkeeping corruption (double-free / leaked register) the
@@ -198,9 +191,6 @@ class PhysRegFile
 
     void emitIntervals(RegIndex phys, Cycle now, bool producer_dead,
                        bool squashed);
-
-    /** Empty ready table: nothing written, index invalidReg ready. */
-    void clearReady();
 
     std::uint32_t numInt_;
     std::uint32_t numFp_;

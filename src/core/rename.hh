@@ -28,9 +28,6 @@ class RenameMap
     /** Install a new mapping; returns the displaced physical register. */
     RegIndex set(RegIndex arch_reg, RegIndex phys);
 
-    /** Worker-reuse hook: back to the all-unmapped constructed state. */
-    void reset() { map_.fill(invalidReg); }
-
     /** Checkpoint hook. */
     template <class Ar>
     void

@@ -54,7 +54,7 @@ class Rob
     auto begin() const { return entries_.begin(); }
     auto end() const { return entries_.end(); }
 
-    /** Worker-reuse hook: empty the ring, capacity retained. */
+    /** Empty the ring, capacity retained (SmtCore::clearInFlight). */
     void reset() { entries_.reset(); }
 
   private:

@@ -51,14 +51,7 @@ SmtCore::SmtCore(const MachineConfig &cfg,
     wheel_.resize(size);
     wheelMask_ = size - 1;
 
-    declareStructureBits();
-}
-
-SmtCore::~SmtCore() = default;
-
-void
-SmtCore::declareStructureBits()
-{
+    // The ledger learns this machine's IQ/ROB/LSQ/FU geometry.
     ledger_.setStructureBits(HwStruct::IQ,
                              std::uint64_t{cfg_.iqSize} * bits::iqEntry);
     ledger_.setStructureBits(
@@ -76,48 +69,7 @@ SmtCore::declareStructureBits()
     ledger_.setStructureBits(HwStruct::FU, fuPool_.totalBits());
 }
 
-void
-SmtCore::reset(const MachineConfig &cfg)
-{
-    cfg_ = cfg;
-    cfg_.validate();
-
-    analyzer_.reset();
-    regfile_.reset();
-    fuPool_.reset();
-
-    clearInFlight();
-    for (auto &thp : threads_) {
-        auto &th = *thp;
-        th.fetchStreamIdx = 0;
-        th.wrongPathPc = 0;
-        th.seqCounter = 0;
-        th.icacheStallUntil = 0;
-        th.fetchedCount = 0;
-        th.issuedCount = 0;
-        th.committedCount = 0;
-        th.nextCommitStreamIdx = 0;
-        th.rename.reset();
-        th.predictor.reset();
-    }
-
-    policy_->reset();
-
-    now_ = 0;
-    globalDispatchSeq_ = 0;
-    commitRR_ = 0;
-    dispatchRR_ = 0;
-
-    wrongPathFetched_ = 0;
-    squashedInstrs_ = 0;
-    fetchedInstrs_ = 0;
-    fetchEnabled_ = true;
-    active_ = true;
-    skipped_ = 0;
-
-    // The owning Simulator has just reset the ledger.
-    declareStructureBits();
-}
+SmtCore::~SmtCore() = default;
 
 unsigned
 SmtCore::numThreads() const

@@ -92,19 +92,9 @@ class SmtCore final : public PolicyContext
     std::uint64_t skippedCycles() const { return skipped_; }
 
     /**
-     * Worker-reuse hook: restore the exact post-construction state under a
-     * (timing-shape-compatible) new configuration — clock at zero, every
-     * queue empty, predictors untrained, register pool full, fetch
-     * enabled. The stream generators are NOT reset here (the owning
-     * Simulator re-seeds them); @p cfg replaces cfg_ wholesale so the new
-     * run's seed/protection knobs take effect. Allocation-free.
-     */
-    void reset(const MachineConfig &cfg);
-
-    /**
      * End of run: close residual AVF intervals (registers, pending
      * deadness) and free every in-flight instruction's slot. Afterwards
-     * the core only reports statistics until reset().
+     * the core only reports statistics.
      */
     void finalizeAvf();
 
@@ -194,8 +184,8 @@ class SmtCore final : public PolicyContext
         }
         if constexpr (Ar::loading) {
             policy_->loadState(ar);
-            // Boundary invariants (already true on a fresh core; restated
-            // so a restore into a reused core cannot smuggle stale state).
+            // Boundary invariants: already true on the fresh core a
+            // restore targets, restated so no checkpoint can break them.
             clearInFlight();
         } else if constexpr (std::is_same_v<Ar, ByteCounter>) {
             // saveState is a virtual taking Serializer& (it cannot be a
@@ -373,9 +363,6 @@ class SmtCore final : public PolicyContext
 
     /** quietUntil() after a quiet tick: the next event's cycle - 1. */
     Cycle lastQuietCycle() const;
-
-    /** Give the ledger this machine's IQ/ROB/LSQ/FU geometry. */
-    void declareStructureBits();
 
     /** Take a squashed instruction's pending event off the wheel. */
     void unschedule(DynInstr *in);

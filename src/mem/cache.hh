@@ -86,20 +86,6 @@ class Cache
     /** Evict every resident line (used to finalize AVF at end of run). */
     void flushAll(Cycle now);
 
-    /**
-     * Worker-reuse hook: restore the exact post-construction state
-     * (cold lines, zeroed LRU clock and counters) without touching the
-     * observer wiring or the line array's capacity. Allocation-free.
-     */
-    void
-    reset()
-    {
-        lines_.assign(lines_.size(), Line{});
-        useClock_ = 0;
-        hits_ = 0;
-        misses_ = 0;
-    }
-
     const CacheConfig &config() const { return cfg_; }
     std::uint32_t numSets() const { return sets_; }
     std::uint32_t numLines() const { return sets_ * cfg_.ways; }

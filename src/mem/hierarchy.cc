@@ -23,17 +23,6 @@ MemHierarchy::MemHierarchy(const MemConfig &cfg)
 }
 
 void
-MemHierarchy::reset()
-{
-    il1_.reset();
-    dl1_.reset();
-    l2_.reset();
-    itlb_.reset();
-    dtlb_.reset();
-    renewMshrs();
-}
-
-void
 MemHierarchy::renewMshrs()
 {
     PoolAlloc<std::pair<const Addr, Mshr>> alloc(mshrPool_);

@@ -87,13 +87,6 @@ class MemHierarchy
     void finalize(Cycle now);
 
     /**
-     * Worker-reuse hook: restore the exact post-construction state.
-     * Caches/TLBs reset in place; the MSHR maps are renewed
-     * (renewMshrs()).
-     */
-    void reset();
-
-    /**
      * Replace the three MSHR maps by fresh default-constructed maps over
      * the same node pool. An emptied map keeps the bucket array it grew
      * to, while a fresh one starts from the implementation's default, and

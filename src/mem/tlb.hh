@@ -62,16 +62,6 @@ class Tlb
     /** Evict all entries (finalizes AVF intervals at end of run). */
     void flushAll(Cycle now);
 
-    /** Worker-reuse hook: exact post-construction state, allocation-free. */
-    void
-    reset()
-    {
-        entries_.assign(entries_.size(), Entry{});
-        useClock_ = 0;
-        hits_ = 0;
-        misses_ = 0;
-    }
-
     const TlbConfig &config() const { return cfg_; }
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }

@@ -212,14 +212,6 @@ class FetchPolicy
     virtual void saveState(Serializer &ar) { (void)ar; }
     virtual void loadState(Deserializer &ar) { (void)ar; }
 
-    /**
-     * Worker-reuse hook: back to the exact freshly constructed state —
-     * untrained predictor tables, no gates, zeroed counters. The scratch
-     * vectors (rank_/order_/keys_) are pure per-call outputs and need no
-     * touch. Stateless policies keep this no-op default. Allocation-free.
-     */
-    virtual void reset() {}
-
   protected:
     /**
      * Threads sorted by ascending in-flight count (ICOUNT order). Fills

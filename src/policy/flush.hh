@@ -40,14 +40,6 @@ class FlushPolicy : public FetchPolicy
         gates_ = {};
     }
 
-    /** Worker-reuse hook: no gates held, flush count zeroed. */
-    void
-    reset() override
-    {
-        gates_ = {};
-        flushes_ = 0;
-    }
-
   private:
     struct Gate
     {

@@ -51,14 +51,6 @@ class PdgPolicy : public FetchPolicy
         predicted_.fill(0);
     }
 
-    /** Worker-reuse hook: untrained weakly-not-miss table, nothing in flight. */
-    void
-    reset() override
-    {
-        table_.assign(table_.size(), 1);
-        predicted_.fill(0);
-    }
-
   private:
     std::uint32_t tableIndex(Addr pc) const;
 

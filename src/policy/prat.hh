@@ -118,17 +118,6 @@ class PRatPolicy : public FetchPolicy
         deriveStaticWeights();
     }
 
-    /** Worker-reuse hook: re-derive the static weights from the (new)
-     *  protection assignment, forget every measured correction. */
-    void
-    reset() override
-    {
-        deriveStaticWeights();
-        corr256_.fill(1);
-        nextRefresh_ = epoch_;
-        throttledThreadCycles_ = 0;
-    }
-
   private:
     /** Structures whose occupancy prices a thread's in-flight exposure. */
     static constexpr std::array<HwStruct, 5> kStructs = {

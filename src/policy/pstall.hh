@@ -52,14 +52,6 @@ class PStallPolicy : public FetchPolicy
         gates_ = {};
     }
 
-    /** Worker-reuse hook: untrained weakly-not-miss table, no gates. */
-    void
-    reset() override
-    {
-        table_.assign(table_.size(), 1);
-        gates_ = {};
-    }
-
   private:
     struct Gate
     {

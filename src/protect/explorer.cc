@@ -400,13 +400,6 @@ ProtectionExplorer::exploreBeam(CampaignRunner &pool,
     copt.resume = opt.resume;
     copt.runFn = opt.runFn;
 
-    // Worker reuse (copt.reuseWorkers, on by default) is at its best
-    // here: protection assignments are excluded from the reset
-    // compatibility shape, so every candidate in a generation reset()s
-    // onto the same worker-local simulator instead of constructing a
-    // fresh one — the search's Simulator setup cost collapses to one
-    // construction per pool worker.
-
     // Shared warmup: simulate the warmup prefix exactly once, up front,
     // and let every runTolerant() batch (baseline, each generation)
     // restore the capture. The checkpoint fingerprint excludes the

@@ -384,45 +384,6 @@ warmupCheckpointPath(const std::string &dir, std::uint64_t key)
     return base + name;
 }
 
-/**
- * Idle worker-local Simulators, shared by the pool's threads
- * (CampaignOptions::reuseWorkers). A worker takes a shape-compatible
- * instance, reset()s it for its run, and returns it on success; a run
- * that throws discards its instance instead, so no state from a broken
- * run can leak into a healthy one. Capacity is capped at the pool size
- * — more idle simulators than workers can never be in use at once.
- */
-struct SlotPool
-{
-    std::mutex m;
-    std::vector<std::unique_ptr<Simulator>> idle;
-    std::size_t cap = 0;
-
-    std::unique_ptr<Simulator>
-    acquire(const MachineConfig &cfg, const WorkloadMix &mix)
-    {
-        std::lock_guard<std::mutex> lock(m);
-        for (auto it = idle.begin(); it != idle.end(); ++it) {
-            if ((*it)->canResetTo(cfg, mix)) {
-                auto s = std::move(*it);
-                idle.erase(it);
-                return s;
-            }
-        }
-        return nullptr;
-    }
-
-    void
-    release(std::unique_ptr<Simulator> s)
-    {
-        if (!s)
-            return;
-        std::lock_guard<std::mutex> lock(m);
-        if (idle.size() < cap)
-            idle.push_back(std::move(s));
-    }
-};
-
 } // namespace
 
 CampaignReport
@@ -437,7 +398,7 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
     if (opt.runsPerChild > 1 && opt.isolate != IsolateMode::Process)
         SMTAVF_FATAL("CampaignOptions::runsPerChild > 1 batches runs per "
                      "sandboxed child and so requires process isolation; "
-                     "thread mode already reuses workers in-process");
+                     "thread mode forks no child to amortize");
 
     std::vector<std::uint64_t> fps(exps.size());
     for (std::size_t i = 0; i < exps.size(); ++i) {
@@ -536,15 +497,9 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         });
     }
 
-    // Core of one run. When @p slot is non-null the worker owns a
-    // reusable Simulator slot: a shape-compatible instance is reset() in
-    // place instead of reconstructed, which is where the campaign
-    // throughput win lives (docs/PERFORMANCE.md). A run that throws
-    // discards the slot's instance — a half-run simulator must never
-    // carry state into the next run. Shared-warmup restores and runFn
-    // seams bypass the slot (they construct per-run state anyway).
-    auto run_one = [&](const Experiment &e, std::size_t i,
-                       std::unique_ptr<Simulator> *slot) -> SimResult {
+    // Core of one run: a shared-warmup restore, the runFn seam, or a
+    // Simulator built for this run alone (runExperiment).
+    auto run_one = [&](const Experiment &e, std::size_t i) -> SimResult {
         if (opt.runFn)
             return opt.runFn(e, i);
         if (share && e.warmup > 0) {
@@ -563,21 +518,6 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 else
                     sim.restore(g.ck);
                 return sim.run(budget);
-            }
-        }
-        if (slot && opt.reuseWorkers && e.warmup == 0) {
-            std::uint64_t budget =
-                e.budget ? e.budget : defaultBudget(e.mix.contexts);
-            auto &s = *slot;
-            if (s && s->canResetTo(e.cfg, e.mix))
-                s->reset(e.cfg, e.mix);
-            else
-                s = std::make_unique<Simulator>(e.cfg, e.mix);
-            try {
-                return s->run(budget);
-            } catch (...) {
-                s.reset();
-                throw;
             }
         }
         return runExperiment(e);
@@ -658,9 +598,6 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         return true;
     };
 
-    SlotPool slots;
-    slots.cap = pool.jobs();
-
     auto run_single = [&](std::size_t i) {
         auto t0 = std::chrono::steady_clock::now();
         RunOutcome &out = report.outcomes[i];
@@ -706,27 +643,17 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                     lim.cpuSeconds = opt.childCpuSeconds;
                     lim.memoryBytes = opt.childMemoryBytes;
                     lim.cancel = opt.cancel;
-                    ChildOutcome co = runInChild(
-                        [&] { return run_one(*exp, i, nullptr); }, lim);
+                    ChildOutcome co =
+                        runInChild([&] { return run_one(*exp, i); }, lim);
                     settled = applyChild(std::move(co), i, out, msg);
                 } else {
-                    // Take a shape-compatible idle simulator if one
-                    // exists; return it only when the run succeeds.
-                    std::unique_ptr<Simulator> slot;
-                    const bool use_slot = opt.reuseWorkers && !opt.runFn &&
-                                          exp->warmup == 0;
-                    if (use_slot)
-                        slot = slots.acquire(exp->cfg, exp->mix);
                     try {
-                        out.result =
-                            run_one(*exp, i, use_slot ? &slot : nullptr);
+                        out.result = run_one(*exp, i);
                         out.status = RunStatus::Ok;
                         out.error.clear();
                         if (journal)
                             journal->append(fps[i], out.result);
                         settled = true;
-                        if (use_slot)
-                            slots.release(std::move(slot));
                     } catch (const LivelockError &err) {
                         // Deterministic by construction: the same seed
                         // spins through the same window. Never retried.
@@ -758,9 +685,9 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
     };
 
     // Batched process isolation: consecutive submission-order slices of
-    // runsPerChild runs share ONE forked child, which builds a single
-    // worker-local Simulator lazily and reuses it across the batch over
-    // the framed pipe protocol (runBatchInChild). A crash settles or
+    // runsPerChild runs share ONE forked child, which builds a Simulator
+    // per run and frames each result over the pipe protocol
+    // (runBatchInChild). A crash settles or
     // retries only the run it is attributed to; completed frames survive,
     // and the unstarted remainder is re-dispatched in a fresh child
     // without being charged an attempt.
@@ -817,16 +744,10 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
 
             auto t0 = std::chrono::steady_clock::now();
             const std::vector<std::size_t> snapshot = pending;
-            // The slot lives in the child after fork(); the parent never
-            // constructs the simulator. shared_ptr keeps the lambda
-            // copyable for std::function.
-            auto child_slot =
-                std::make_shared<std::unique_ptr<Simulator>>();
             ChildBatchOutcome bo = runBatchInChild(
                 snapshot.size(),
-                [&, child_slot](std::size_t k) {
-                    return run_one(exps[snapshot[k]], snapshot[k],
-                                   child_slot.get());
+                [&](std::size_t k) {
+                    return run_one(exps[snapshot[k]], snapshot[k]);
                 },
                 lim);
             std::chrono::duration<double> dt =

@@ -248,21 +248,16 @@ struct CampaignOptions
      */
     IsolateMode isolate = IsolateMode::Thread;
     /**
-     * Reuse worker-local Simulators across runs whose timing shape
-     * matches (Simulator::canResetTo): instead of constructing and
-     * destroying one Simulator per run, each worker resets one in place
-     * — allocation-free — and pays construction once. Applies to
-     * warmup-free runs in thread mode and inside batched children
-     * (@ref runsPerChild); results are bit-identical either way
-     * (reset() ≡ fresh construction, tests/test_campaign.cc proves it
-     * differentially). A run that fails discards its worker's instance,
-     * so no state crosses from a broken run into a healthy one.
+     * Deprecated and never read: every run builds its own Simulator.
+     * Kept only because the benchmark harness (perfbench/harness) still
+     * sets it; remove it with the next benchmark change.
      */
     bool reuseWorkers = true;
     /**
      * Process mode: dispatch this many consecutive runs per forked
      * child over the framed `run v3` pipe protocol, amortizing the
-     * fork + construction cost while keeping the sandbox. Each run's
+     * fork while keeping the sandbox; each run in the child builds its
+     * own Simulator. Each run's
      * result frames out as it completes, so runs finished before a
      * crash survive it; a death is attributed to the in-flight run and
      * only that run plus the unstarted remainder re-dispatch. The

@@ -1,6 +1,7 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
+#include <memory>
 
 #include "base/logging.hh"
 #include "sim/errors.hh"
@@ -17,9 +18,57 @@ simulatedInstructionCounter()
     return counter;
 }
 
+namespace
+{
+
+/** The registry profile of each of @p mix's benchmarks, in context order. */
+std::vector<BenchmarkProfile>
+registryProfiles(const MachineConfig &cfg, const WorkloadMix &mix)
+{
+    if (mix.contexts != cfg.contexts)
+        SMTAVF_FATAL("mix ", mix.name, " has ", mix.contexts,
+                     " contexts, config has ", cfg.contexts);
+    std::vector<BenchmarkProfile> profiles;
+    profiles.reserve(mix.benchmarks.size());
+    for (const auto &name : mix.benchmarks)
+        profiles.push_back(findProfile(name));
+    return profiles;
+}
+
+/** The mix record of a custom workload: one profile per context. */
+WorkloadMix
+customMix(const MachineConfig &cfg,
+          const std::vector<BenchmarkProfile> &profiles,
+          const std::string &name)
+{
+    if (profiles.size() != cfg.contexts)
+        SMTAVF_FATAL("custom workload '", name, "' has ", profiles.size(),
+                     " profiles for ", cfg.contexts, " contexts");
+    WorkloadMix mix{name, cfg.contexts, MixType::Mix, 'A', {}};
+    for (const auto &p : profiles)
+        mix.benchmarks.push_back(p.name);
+    return mix;
+}
+
+} // namespace
+
 Simulator::Simulator(const MachineConfig &cfg, const WorkloadMix &mix,
                      std::vector<std::uint32_t> stream_ids)
-    : ctorScope_(arena_), cfg_(cfg), mix_(mix),
+    : Simulator(cfg, mix, registryProfiles(cfg, mix), std::move(stream_ids))
+{
+}
+
+Simulator::Simulator(const MachineConfig &cfg,
+                     std::vector<BenchmarkProfile> profiles,
+                     const std::string &name)
+    : Simulator(cfg, customMix(cfg, profiles, name), profiles, {})
+{
+}
+
+Simulator::Simulator(const MachineConfig &cfg, WorkloadMix mix,
+                     const std::vector<BenchmarkProfile> &profiles,
+                     std::vector<std::uint32_t> stream_ids)
+    : ctorScope_(arena_), cfg_(cfg), mix_(std::move(mix)),
       streamIds_(std::move(stream_ids)), ledger_(cfg.contexts),
       hier_(cfg.mem),
       dl1Tracker_(hier_.dl1(), ledger_, HwStruct::Dl1Data, HwStruct::Dl1Tag,
@@ -33,9 +82,6 @@ Simulator::Simulator(const MachineConfig &cfg, const WorkloadMix &mix,
         l2Tracker_ = makeArena<CacheVulnTracker>(
             hier_.l2(), ledger_, HwStruct::L2Data, HwStruct::L2Tag,
             /*per_byte=*/false);
-    if (mix_.contexts != cfg_.contexts)
-        SMTAVF_FATAL("mix ", mix_.name, " has ", mix_.contexts,
-                     " contexts, config has ", cfg_.contexts);
     if (!streamIds_.empty() && streamIds_.size() != cfg_.contexts)
         SMTAVF_FATAL("stream-id override count mismatch");
 
@@ -43,11 +89,10 @@ Simulator::Simulator(const MachineConfig &cfg, const WorkloadMix &mix,
     raw.reserve(cfg_.contexts);
     gens_.reserve(cfg_.contexts);
     for (unsigned t = 0; t < cfg_.contexts; ++t) {
-        const auto &profile = findProfile(mix_.benchmarks[t]);
         std::uint32_t sid =
             streamIds_.empty() ? 0xffffffffu : streamIds_[t];
         gens_.push_back(makeArena<StreamGenerator>(
-            profile, cfg_.seed, static_cast<ThreadId>(t), sid));
+            profiles[t], cfg_.seed, static_cast<ThreadId>(t), sid));
         raw.push_back(gens_.back().get());
     }
     core_ = makeArena<SmtCore>(cfg_, std::move(raw), hier_, ledger_);
@@ -60,157 +105,11 @@ Simulator::Simulator(const MachineConfig &cfg, const WorkloadMix &mix,
     ctorScope_.release();
 }
 
-Simulator::Simulator(const MachineConfig &cfg,
-                     std::vector<BenchmarkProfile> profiles,
-                     const std::string &name)
-    : ctorScope_(arena_), cfg_(cfg), ledger_(cfg.contexts), hier_(cfg.mem),
-      dl1Tracker_(hier_.dl1(), ledger_, HwStruct::Dl1Data, HwStruct::Dl1Tag,
-                  cfg.avf.perByteCacheAvf),
-      dtlbTracker_(hier_.dtlb(), ledger_, HwStruct::Dtlb),
-      itlbTracker_(hier_.itlb(), ledger_, HwStruct::Itlb)
-{
-    cfg_.validate();
-    ledger_.setProtection(cfg_.protection);
-    if (cfg_.avf.trackL2Avf)
-        l2Tracker_ = makeArena<CacheVulnTracker>(
-            hier_.l2(), ledger_, HwStruct::L2Data, HwStruct::L2Tag,
-            /*per_byte=*/false);
-    if (profiles.size() != cfg_.contexts)
-        SMTAVF_FATAL("custom workload '", name, "' has ", profiles.size(),
-                     " profiles for ", cfg_.contexts, " contexts");
-
-    mix_.name = name;
-    mix_.contexts = cfg_.contexts;
-    mix_.type = MixType::Mix;
-    mix_.group = 'A';
-
-    std::vector<StreamGenerator *> raw;
-    raw.reserve(cfg_.contexts);
-    gens_.reserve(cfg_.contexts);
-    for (unsigned t = 0; t < cfg_.contexts; ++t) {
-        profiles[t].validate();
-        mix_.benchmarks.push_back(profiles[t].name);
-        gens_.push_back(makeArena<StreamGenerator>(
-            profiles[t], cfg_.seed, static_cast<ThreadId>(t)));
-        raw.push_back(gens_.back().get());
-    }
-    core_ = makeArena<SmtCore>(cfg_, std::move(raw), hier_, ledger_);
-
-    if (cfg_.prewarmCaches)
-        prewarm();
-
-    ctorScope_.release();
-}
-
-namespace
-{
-
-/**
- * True when two configurations build byte-identical machine structures
- * and drive them through the same timing — the reuse precondition of
- * Simulator::reset(). The field list mirrors fpMachine/fpWorkload in
- * sim/journal.cc exactly (a direct comparison instead of a fingerprint
- * so the reset path stays allocation-free); seed and protection may
- * differ (a re-seed and a ledger overlay swap are part of reset()), and
- * the robustness knobs (livelock/invariant/cancel) never affect what a
- * run computes.
- */
-bool
-sameTimingShape(const MachineConfig &a, const MachineConfig &b)
-{
-    auto cache_eq = [](const CacheConfig &x, const CacheConfig &y) {
-        return x.sizeBytes == y.sizeBytes && x.ways == y.ways &&
-               x.lineBytes == y.lineBytes && x.latency == y.latency &&
-               x.ports == y.ports;
-    };
-    auto tlb_eq = [](const TlbConfig &x, const TlbConfig &y) {
-        return x.entries == y.entries && x.ways == y.ways &&
-               x.pageBytes == y.pageBytes && x.missPenalty == y.missPenalty;
-    };
-    return a.contexts == b.contexts && a.fetchWidth == b.fetchWidth &&
-           a.decodeWidth == b.decodeWidth && a.issueWidth == b.issueWidth &&
-           a.commitWidth == b.commitWidth &&
-           a.fetchThreadsPerCycle == b.fetchThreadsPerCycle &&
-           a.frontLatency == b.frontLatency &&
-           a.fetchQueueSize == b.fetchQueueSize && a.iqSize == b.iqSize &&
-           a.robSize == b.robSize && a.lsqSize == b.lsqSize &&
-           a.iqPartitioned == b.iqPartitioned &&
-           a.intPhysRegs == b.intPhysRegs && a.fpPhysRegs == b.fpPhysRegs &&
-           a.fu.intAlu == b.fu.intAlu && a.fu.intMulDiv == b.fu.intMulDiv &&
-           a.fu.memPorts == b.fu.memPorts && a.fu.fpAlu == b.fu.fpAlu &&
-           a.fu.fpMulDiv == b.fu.fpMulDiv &&
-           a.branch.gshareEntries == b.branch.gshareEntries &&
-           a.branch.historyBits == b.branch.historyBits &&
-           a.branch.btbEntries == b.branch.btbEntries &&
-           a.branch.btbWays == b.branch.btbWays &&
-           a.branch.rasEntries == b.branch.rasEntries &&
-           cache_eq(a.mem.il1, b.mem.il1) && cache_eq(a.mem.dl1, b.mem.dl1) &&
-           cache_eq(a.mem.l2, b.mem.l2) && tlb_eq(a.mem.itlb, b.mem.itlb) &&
-           tlb_eq(a.mem.dtlb, b.mem.dtlb) &&
-           a.mem.memLatency == b.mem.memLatency &&
-           a.fetchPolicy == b.fetchPolicy &&
-           a.prewarmCaches == b.prewarmCaches &&
-           a.avf.deadCodeAnalysis == b.avf.deadCodeAnalysis &&
-           a.avf.wrongPathModel == b.avf.wrongPathModel &&
-           a.avf.perByteCacheAvf == b.avf.perByteCacheAvf &&
-           a.avf.regAllocWindowUnace == b.avf.regAllocWindowUnace &&
-           a.avf.trackL2Avf == b.avf.trackL2Avf &&
-           a.avfSampleCycles == b.avfSampleCycles &&
-           a.recordCommitTrace == b.recordCommitTrace &&
-           // PRAT's throttle knobs steer timing; protection may still
-           // differ — SmtCore::reset() installs the new config before
-           // resetting the policy, so PRAT re-derives its weights from
-           // the new assignment.
-           (a.fetchPolicy != FetchPolicyKind::PRat ||
-            (a.pratEpoch == b.pratEpoch && a.pratCap == b.pratCap));
-}
-
-} // namespace
-
-bool
-Simulator::canResetTo(const MachineConfig &cfg, const WorkloadMix &mix) const
-{
-    if (!streamIds_.empty())
-        return false; // stream-id replay runs stay single-use
-    if (mix.name != mix_.name || mix.contexts != mix_.contexts ||
-        mix.benchmarks != mix_.benchmarks)
-        return false;
-    return sameTimingShape(cfg, cfg_);
-}
-
 void
-Simulator::reset(const MachineConfig &cfg, const WorkloadMix &mix)
+Simulator::reset(const MachineConfig &cfg, const WorkloadMix &mix) noexcept
 {
-    if (!canResetTo(cfg, mix))
-        SMTAVF_FATAL("Simulator::reset with an incompatible timing shape "
-                     "(mix ", mix.name, " vs ", mix_.name,
-                     "); construct a fresh instance instead");
-
-    // Mirror the constructor's order exactly: ledger (protection overlay
-    // re-armed after its reset), hierarchy, trackers, generators
-    // (re-seeded from the new config), core, prewarm. mix_ is untouched —
-    // canResetTo proved it identical, and reassigning it would copy
-    // strings (this whole path is gated at zero heap allocations by
-    // tests/test_alloc_steady.cc).
-    cfg_ = cfg;
-    ledger_.reset();
-    ledger_.setProtection(cfg_.protection);
-    hier_.reset();
-    dl1Tracker_.reset();
-    dtlbTracker_.reset();
-    itlbTracker_.reset();
-    if (l2Tracker_)
-        l2Tracker_->reset();
-    for (unsigned t = 0; t < cfg_.contexts; ++t)
-        gens_[t]->reset(cfg_.seed);
-    core_->reset(cfg_);
-    if (cfg_.prewarmCaches)
-        prewarm();
-
-    baseline_ = Counters{};
-    restoredCommitted_ = 0;
-    restored_ = false;
-    ran_ = false;
+    std::destroy_at(this);
+    std::construct_at(this, cfg, mix);
 }
 
 void
@@ -483,7 +382,7 @@ SimResult
 Simulator::run(std::uint64_t instr_budget, const RunControls &rc)
 {
     if (ran_)
-        SMTAVF_FATAL("run() twice without an intervening reset()");
+        SMTAVF_FATAL("run() twice on one Simulator");
     ran_ = true;
     if (instr_budget == 0)
         SMTAVF_FATAL("zero instruction budget");

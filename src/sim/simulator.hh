@@ -73,12 +73,8 @@ struct RunControls
 };
 
 /**
- * One simulation instance. A Simulator is single-use per *run* —
- * construct (or reset()), run once, read the result — but the instance
- * itself is reusable: reset() returns it to exact post-construction
- * state, allocation-free, whenever the next run's timing shape matches
- * (timingShapeFingerprint in sim/journal.hh). Campaign workers exploit
- * this to pay construction once per worker instead of once per run.
+ * One simulation instance, single use: construct, run once, read the
+ * result. Campaigns build one Simulator per run.
  *
  * All setup-time containers are carved from a private monotonic Arena
  * (base/arena.hh): member order puts the arena and an ArenaCtorScope
@@ -138,26 +134,13 @@ class Simulator
     Checkpoint captureWarmupCheckpoint(std::uint64_t warmup_instrs);
 
     /**
-     * True when this instance can be reset() for a run of
-     * (@p cfg, @p mix): every timing-shape field must match the
-     * construction-time one (same geometry, policy, workload, AVF model
-     * options — see timingShapeFingerprint), because reset() reuses the
-     * existing structures in place. Seed and protection may differ
-     * freely, and per-thread stream ids must not have been overridden at
-     * construction (the campaign path never does).
+     * Rebuild this instance in place as Simulator(@p cfg, @p mix).
+     * Deprecated: a shim kept only because the benchmark harness
+     * (perfbench/harness) still calls it; remove it with the next
+     * benchmark change. noexcept, so a constructor failure terminates
+     * rather than leaving a destroyed object behind.
      */
-    bool canResetTo(const MachineConfig &cfg, const WorkloadMix &mix) const;
-
-    /**
-     * Return to exact post-construction state for a run of
-     * (@p cfg, @p mix) — bit-identical to destroying this instance and
-     * constructing Simulator(cfg, mix), and allocation-free
-     * (tests/test_alloc_steady.cc gates it at zero heap allocations).
-     * Fatal when !canResetTo(cfg, mix). Mirrors the constructor's order:
-     * ledger, hierarchy, trackers, stream generators (re-seeded from
-     * cfg.seed), core, prewarm.
-     */
-    void reset(const MachineConfig &cfg, const WorkloadMix &mix);
+    void reset(const MachineConfig &cfg, const WorkloadMix &mix) noexcept;
 
     /** Committed-instruction count adopted from restore() (else 0). */
     std::uint64_t restoredCommitted() const { return restoredCommitted_; }
@@ -168,6 +151,14 @@ class Simulator
     AvfLedger &ledger() { return ledger_; }
 
   private:
+    /**
+     * The one constructor body: both public constructors resolve their
+     * profiles (the registry's for a mix, or the caller's) and land here.
+     */
+    Simulator(const MachineConfig &cfg, WorkloadMix mix,
+              const std::vector<BenchmarkProfile> &profiles,
+              std::vector<std::uint32_t> stream_ids);
+
     /**
      * Indices of the cumulative counters every measured-window statistic
      * is a difference of, in checkpoint wire order. Per-thread counters
@@ -252,7 +243,7 @@ class Simulator
      * Declared first so every member below is constructed (and carves
      * its setup-time containers) under ctorScope_ — C++ guarantees
      * member construction in declaration order. The scope is released
-     * at the end of each constructor body.
+     * at the end of the constructor body.
      */
     Arena arena_;
     ArenaCtorScope ctorScope_;

@@ -8,35 +8,14 @@ namespace smtavf
 StreamGenerator::StreamGenerator(const BenchmarkProfile &profile,
                                  std::uint64_t seed, ThreadId tid,
                                  std::uint32_t stream_id)
-    : profile_(profile), tid_(tid), streamId_(stream_id),
+    : profile_(profile), tid_(tid),
       rng_(seed ^ (0x51ed2700ull +
                    (stream_id == 0xffffffff ? tid : stream_id))),
       wrongRng_((seed * 0x9e3779b97f4a7c15ull) ^
                 (0xbadcull + (stream_id == 0xffffffff ? tid : stream_id)))
 {
     profile_.validate();
-    init();
-}
 
-void
-StreamGenerator::reset(std::uint64_t seed)
-{
-    // Same seeding expressions as the constructor's member initializers.
-    std::uint64_t sid = streamId_ == 0xffffffff ? tid_ : streamId_;
-    rng_ = Rng(seed ^ (0x51ed2700ull + sid));
-    wrongRng_ = Rng((seed * 0x9e3779b97f4a7c15ull) ^ (0xbadcull + sid));
-    buffer_.reset();
-    base_ = 0;
-    curSite_ = 0;
-    curChain_ = 0;
-    nextStream_ = 0;
-    callStack_.clear();
-    init();
-}
-
-void
-StreamGenerator::init()
-{
     // High bits separate the address spaces; the low page-aligned jitter
     // spreads different threads' footprints across cache sets, as distinct
     // physical page mappings would on a real machine.
@@ -106,8 +85,6 @@ StreamGenerator::init()
     callStack_.reserve(24);
 
     std::uint32_t chains = profile_.parallelChains;
-    // assign, not resize: on a reset() re-run the vectors already have
-    // this size and resize would leave stale definition rings behind.
     intChains_.assign(chains, DefRing{});
     fpChains_.assign(chains, DefRing{});
 

@@ -47,14 +47,6 @@ class StreamGenerator
                     ThreadId tid, std::uint32_t stream_id = 0xffffffff);
 
     /**
-     * Worker-reuse hook: re-seed and re-run the constructor's derivation
-     * in place — same draw order, so reset(s) is stream-identical to a
-     * fresh StreamGenerator(profile, s, tid, stream_id). Allocation-free
-     * (every container keeps its capacity).
-     */
-    void reset(std::uint64_t seed);
-
-    /**
      * Correct-path instruction at stream index @p idx (0-based program
      * order). Generates on demand; the record is a template whose pipeline
      * fields the core initializes on fetch.
@@ -205,9 +197,6 @@ class StreamGenerator
         ar(in.branchTarget);
     }
 
-    /** Constructor body: everything derived from (profile, seed, sid). */
-    void init();
-
     DynInstr generateOne();
     OpClass pickOpClass();
     RegIndex pickSrc(bool fp);
@@ -218,7 +207,6 @@ class StreamGenerator
 
     BenchmarkProfile profile_;
     ThreadId tid_;
-    std::uint32_t streamId_; ///< raw ctor argument (0xffffffff = tid)
     Rng rng_;
     Rng wrongRng_;
 

@@ -511,8 +511,8 @@ TEST(LsqTest, FullBlocksPush)
 // ---- register file readiness ----------------------------------------------
 
 /**
- * Seeded alloc / markWritten / release / squash-release / reset /
- * checkpoint round-trip sequences: isReady agrees with a model of each
+ * Seeded alloc / markWritten / release / squash-release / checkpoint
+ * round-trip sequences: isReady agrees with a model of each
  * register's state at every step, invalidReg is always ready, and the
  * serialized `written` flag keeps its wire position.
  */
@@ -550,7 +550,7 @@ TEST(RegFileReadyTest, DifferentialAgainstRegisterModel)
         for (int step = 0; step < 300; ++step) {
             ++now;
             const char *after = "?";
-            switch (pick(7)) {
+            switch (pick(6)) {
               case 0:
               case 1: {
                 RegIndex r = rf.alloc(pick(2), 0, now);
@@ -585,14 +585,6 @@ TEST(RegFileReadyTest, DifferentialAgainstRegisterModel)
                     model[r] = Free;
                 }
                 after = "releaseSquashed";
-                break;
-              }
-              case 5: {
-                if (pick(8) == 0) {
-                    rf.reset();
-                    std::fill(model.begin(), model.end(), Free);
-                }
-                after = "reset";
                 break;
               }
               default: {

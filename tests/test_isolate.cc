@@ -524,7 +524,7 @@ TEST(Chaos, CpuRlimitSpinIsTimedOutWithoutRetry)
     opt.runFn = [](const Experiment &, std::size_t) -> SimResult {
         volatile std::uint64_t sink = 0;
         for (;;) // never polls anything; only the rlimit can stop this
-            ++sink;
+            sink = sink + 1;
     };
     CampaignRunner pool(1);
     auto report = runTolerant(pool, exps, opt);
@@ -664,7 +664,7 @@ TEST(Chaos, BackoffDelaysTheRetry)
     CampaignOptions opt = processOpt();
     opt.retries = 1;
     opt.backoffSeconds = 0.3;
-    opt.runFn = [&](const Experiment &e, std::size_t i) {
+    opt.runFn = [&](const Experiment &e, std::size_t) {
         if (!fileExists(marker)) {
             {
                 std::ofstream m(marker);

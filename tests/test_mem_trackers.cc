@@ -266,13 +266,6 @@ class ReferenceTracker : public CacheObserver
         line.valid = false;
     }
 
-    void
-    reset()
-    {
-        lines_.assign(lines_.size(), LineState{});
-        units_.assign(units_.size(), UnitState{});
-    }
-
     template <class Ar>
     void
     serialize(Ar &ar)
@@ -355,25 +348,14 @@ struct TrackedCache
     TrackedCache(bool per_byte, const ProtectionConfig &protection)
         : ledger(kDiffThreads), cache(kDiffCache),
           tracker(cache, ledger, HwStruct::Dl1Data, HwStruct::Dl1Tag,
-                  per_byte),
-          protection(protection)
+                  per_byte)
     {
         ledger.setProtection(protection);
-    }
-
-    void
-    reset()
-    {
-        ledger.reset();
-        ledger.setProtection(protection);
-        cache.reset();
-        tracker.reset();
     }
 
     AvfLedger ledger;
     Cache cache;
     Tracker tracker;
-    ProtectionConfig protection;
 };
 
 void
@@ -430,18 +412,17 @@ runDifferential(bool per_byte, const ProtectionConfig &protection,
         } else if (op < 92) {
             got.cache.flushAll(now);
             want.cache.flushAll(now);
-        } else if (op < 94) {
-            got.reset();
-            want.reset();
         } else {
-            // Round trip through a reset tracker: only the load path can
-            // bring the open intervals back.
-            std::string saved = wireBytes(got.tracker);
-            got.tracker.reset();
-            ASSERT_NO_FATAL_FAILURE(loadWire(got.tracker, saved));
-            std::string ref_saved = wireBytes(want.tracker);
-            want.tracker.reset();
-            ASSERT_NO_FATAL_FAILURE(loadWire(want.tracker, ref_saved));
+            // Round trip into freshly built trackers: only the load path
+            // can bring the open intervals back.
+            TrackedCache<CacheVulnTracker> got_back(per_byte, protection);
+            TrackedCache<ReferenceTracker> want_back(per_byte, protection);
+            const std::string saved = wireBytes(got.tracker);
+            const std::string ref_saved = wireBytes(want.tracker);
+            ASSERT_NO_FATAL_FAILURE(loadWire(got_back.tracker, saved));
+            ASSERT_NO_FATAL_FAILURE(loadWire(want_back.tracker, ref_saved));
+            ASSERT_EQ(wireBytes(got_back.tracker), saved);
+            ASSERT_EQ(wireBytes(want_back.tracker), ref_saved);
         }
         SCOPED_TRACE("step " + std::to_string(step));
         ASSERT_NO_FATAL_FAILURE(expectSameTallies(got.ledger, want.ledger));
@@ -482,23 +463,6 @@ TEST(CacheTrackerDifferential, MatchesPerUnitReference)
                     return;
             }
         }
-    }
-}
-
-TEST(CacheTrackerDifferential, ResetSerializesLikeFresh)
-{
-    for (bool per_byte : {true, false}) {
-        TrackedCache<CacheVulnTracker> used(per_byte, ProtectionConfig{});
-        Rng rng(9);
-        for (Cycle now = 1; now < 2000; now += 3) {
-            Addr addr = rng.uniform(8192);
-            used.cache.fill(addr, 0, now);
-            used.cache.access(addr, 8, rng.bernoulli(0.5), 0, now + 1);
-        }
-        TrackedCache<CacheVulnTracker> fresh(per_byte, ProtectionConfig{});
-        ASSERT_NE(wireBytes(used.tracker), wireBytes(fresh.tracker));
-        used.reset();
-        EXPECT_EQ(wireBytes(used.tracker), wireBytes(fresh.tracker));
     }
 }
 

@@ -1,13 +1,14 @@
 /**
  * @file
- * Worker-reuse differential suite: reset()-based simulator reuse and
- * batched process children must be invisible in the results.
+ * Batched-child differential suite: batching runs per sandboxed child
+ * (--runs-per-child) must be invisible in the results.
  *
  * The correctness bar is byte-identical `run v3` journals: a campaign
- * that reuses worker-local simulators (thread mode) or batches runs per
- * sandboxed child (--runs-per-child) must journal exactly the bytes a
- * construct-per-run campaign writes, across context counts and fetch
- * policies. The batch-chaos tests then prove the crash story: a child
+ * that batches runs per child must journal exactly the bytes a
+ * child-per-run campaign writes, across context counts and fetch
+ * policies, and thread mode must agree with both. Simulator::reset, a
+ * deprecated shim that rebuilds in place, must equal fresh construction.
+ * The batch-chaos tests then prove the crash story: a child
  * dying mid-batch loses only the in-flight run — completed frames
  * survive, the remainder is re-dispatched without being charged an
  * attempt, and retry/quarantine accounting stays per-run.
@@ -78,8 +79,7 @@ wire(const SimResult &r)
 
 /**
  * The acceptance matrix: {2, 4, 8} contexts x {ICOUNT, FLUSH}, three
- * seeds per cell so reuse actually resets (same shape, new seed) instead
- * of constructing every time.
+ * seeds per cell, so a batch holds runs of one shape and of several.
  */
 std::vector<Experiment>
 reuseMatrix()
@@ -98,7 +98,7 @@ reuseMatrix()
     return exps;
 }
 
-// --- reset() itself ------------------------------------------------------
+// --- the reset() shim ----------------------------------------------------
 
 TEST(SimulatorReset, ResetMatchesFreshConstructionBitExactly)
 {
@@ -110,90 +110,30 @@ TEST(SimulatorReset, ResetMatchesFreshConstructionBitExactly)
     SimResult first = sim.run(kBudget);
     EXPECT_EQ(wire(first), wire(Simulator(cfg, mix).run(kBudget)));
 
-    // Re-seed in place: the reused instance must compute exactly what a
+    // Re-seed in place: the rebuilt instance must compute exactly what a
     // fresh construction computes, including the repeat of its own seed.
     auto cfg2 = cfg;
     cfg2.seed = 99;
-    ASSERT_TRUE(sim.canResetTo(cfg2, mix));
     sim.reset(cfg2, mix);
     EXPECT_EQ(wire(sim.run(kBudget)), wire(Simulator(cfg2, mix).run(kBudget)));
 
     sim.reset(cfg, mix);
     EXPECT_EQ(wire(sim.run(kBudget)), wire(first));
-}
 
-TEST(SimulatorReset, ProtectionChangesStayReusable)
-{
-    // Protection is an accounting overlay, not timing shape: the beam
-    // explorer leans on resetting one worker across candidate schemes.
-    auto cfg = table1Config(2);
-    cfg.seed = 5;
-    const auto &mix = findMix("2ctx-mix-A");
-    Simulator sim(cfg, mix);
-    sim.run(kBudget);
-
-    auto protected_cfg = cfg;
-    for (auto &s : protected_cfg.protection.scheme)
-        s = ProtScheme::Secded;
-    ASSERT_TRUE(sim.canResetTo(protected_cfg, mix));
-    sim.reset(protected_cfg, mix);
-    EXPECT_EQ(wire(sim.run(kBudget)),
-              wire(Simulator(protected_cfg, mix).run(kBudget)));
-}
-
-TEST(SimulatorReset, TimingShapeMismatchesAreRejected)
-{
-    auto cfg = table1Config(2);
-    const auto &mix = findMix("2ctx-mix-A");
-    Simulator sim(cfg, mix);
-
-    EXPECT_TRUE(sim.canResetTo(cfg, mix));
-    auto reseed = cfg;
-    reseed.seed = 1234;
-    EXPECT_TRUE(sim.canResetTo(reseed, mix)); // seed is not shape
-
-    EXPECT_FALSE(sim.canResetTo(cfg, findMix("2ctx-mem-A"))); // workload
-    EXPECT_FALSE(sim.canResetTo(table1Config(4), findMix("4ctx-mix-A")));
-
-    auto wider = cfg;
-    wider.iqSize += 8;
-    EXPECT_FALSE(sim.canResetTo(wider, mix)); // structure geometry
-
-    auto other_policy = cfg;
-    other_policy.fetchPolicy = FetchPolicyKind::Flush;
-    EXPECT_FALSE(sim.canResetTo(other_policy, mix)); // policy state
+    // Any target, whatever its shape: contexts, workload and policy.
+    auto small = table1Config(2);
+    small.fetchPolicy = FetchPolicyKind::Icount;
+    Simulator other(small, findMix("2ctx-mix-A"));
+    other.run(kBudget);
+    auto wide = table1Config(4);
+    wide.fetchPolicy = FetchPolicyKind::Flush;
+    const auto &mem = findMix("4ctx-mem-A");
+    other.reset(wide, mem);
+    EXPECT_EQ(wire(other.run(kBudget)),
+              wire(Simulator(wide, mem).run(kBudget)));
 }
 
 // --- the differential guarantees -----------------------------------------
-
-TEST(ReuseDifferential, ThreadReuseIsByteIdenticalToFreshConstruction)
-{
-    const std::string rj = "reuse_diff_reused.journal";
-    const std::string fj = "reuse_diff_fresh.journal";
-    std::remove(rj.c_str());
-    std::remove(fj.c_str());
-
-    auto exps = reuseMatrix();
-    CampaignOptions reused;
-    reused.journalPath = rj; // reuseWorkers defaults on
-    CampaignOptions fresh;
-    fresh.journalPath = fj;
-    fresh.reuseWorkers = false;
-
-    CampaignRunner pool(1); // one worker: even append order must match
-    auto rrep = runTolerant(pool, exps, reused);
-    auto frep = runTolerant(pool, exps, fresh);
-    ASSERT_TRUE(rrep.allOk());
-    ASSERT_TRUE(frep.allOk());
-    for (std::size_t i = 0; i < exps.size(); ++i)
-        EXPECT_EQ(wire(rrep.outcomes[i].result),
-                  wire(frep.outcomes[i].result))
-            << exps[i].label;
-    EXPECT_EQ(readLines(rj), readLines(fj));
-
-    std::remove(rj.c_str());
-    std::remove(fj.c_str());
-}
 
 TEST(ReuseDifferential, BatchedChildrenAreByteIdenticalToFreshChildren)
 {
@@ -209,7 +149,6 @@ TEST(ReuseDifferential, BatchedChildrenAreByteIdenticalToFreshChildren)
     batched.journalPath = bj;
     CampaignOptions fresh;
     fresh.isolate = IsolateMode::Process;
-    fresh.reuseWorkers = false;
     fresh.journalPath = fj;
 
     CampaignRunner pool(1);

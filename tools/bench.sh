@@ -1,7 +1,6 @@
 #!/bin/sh
 # Run the end-to-end microbenchmark suite (bench_micro_sim plus the
-# shared-warmup gate bench_ckpt_warmup and the worker-reuse gate
-# bench_campaign_setup) and write the merged
+# shared-warmup gate bench_ckpt_warmup) and write the merged
 # machine-readable results to BENCH_micro.json at the repo root. This is
 # the number the performance work is held to: simulated instructions per
 # second at 1/2/4/8 contexts (see docs/PERFORMANCE.md for how to read it),
@@ -32,12 +31,11 @@ else
 fi
 
 if [ ! -x "$build/bench/bench_micro_sim" ] ||
-   [ ! -x "$build/bench/bench_ckpt_warmup" ] ||
-   [ ! -x "$build/bench/bench_campaign_setup" ]; then
+   [ ! -x "$build/bench/bench_ckpt_warmup" ]; then
     echo "==> benchmarks not built; configuring $build (Release)"
     cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=Release
     cmake --build "$build" -j "$jobs" --target bench_micro_sim \
-          bench_ckpt_warmup bench_campaign_setup
+          bench_ckpt_warmup
 fi
 
 echo "==> running bench_micro_sim (min_time=${min_time}s x${reps})"
@@ -57,26 +55,16 @@ echo "==> running bench_ckpt_warmup (shared-warmup gate + timings)"
     --benchmark_out="$repo/BENCH_micro.json.ckpt" \
     --benchmark_out_format=json
 
-# Campaign setup throughput: runs/s for a 1000-short-run campaign,
-# fresh vs reused workers in both isolation modes. The binary gates on
-# byte-identical journals before it times anything.
-echo "==> running bench_campaign_setup (worker-reuse gate + runs/s)"
-"$build/bench/bench_campaign_setup" \
-    --benchmark_format=json \
-    --benchmark_out="$repo/BENCH_micro.json.setup" \
-    --benchmark_out_format=json
-
-# Merge the reports: keep bench_micro_sim's context block, append the
-# other binaries' benchmark rows.
+# Merge the reports: keep bench_micro_sim's context block, append
+# bench_ckpt_warmup's benchmark rows.
 python3 - "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.ckpt" \
-        "$repo/BENCH_micro.json.setup" "$repo/BENCH_micro.json" <<'EOF'
+        "$repo/BENCH_micro.json" <<'EOF'
 import json, sys
 micro = json.load(open(sys.argv[1]))
 for extra in sys.argv[2:-1]:
     micro["benchmarks"].extend(json.load(open(extra))["benchmarks"])
 json.dump(micro, open(sys.argv[-1], "w"), indent=2)
 EOF
-rm -f "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.ckpt" \
-      "$repo/BENCH_micro.json.setup"
+rm -f "$repo/BENCH_micro.json.micro" "$repo/BENCH_micro.json.ckpt"
 
 echo "==> wrote $repo/BENCH_micro.json"

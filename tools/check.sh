@@ -214,8 +214,8 @@ for preset in $presets; do
         # End-to-end flag validation: malformed protect invocations,
         # counts too large for their field (which used to wrap silently),
         # shard specs with trailing junk or a count past 32 bits, output
-        # flags --replicas would drop, and non-finite durations must exit
-        # 2 (usage error) without starting a run. The unit-level
+        # flags --replicas would drop, non-finite durations and a retired
+        # flag must exit 2 (usage error) without starting a run. The unit-level
         # equivalents are tests/test_explorer_fuzz.cc and
         # tests/test_cli_fuzz.cc; this leg pins the parser-to-exit-code
         # wiring in the installed binary.
@@ -244,7 +244,8 @@ for preset in $presets; do
                    'run --replicas 2 --timeline-csv --instructions 2000' \
                    "campaign --isolate process --hard-timeout inf $small" \
                    "campaign --timeout nan $small" \
-                   "campaign --backoff inf $small"; do
+                   "campaign --backoff inf $small" \
+                   "campaign --no-reuse $small"; do
             set +e
             # shellcheck disable=SC2086  # word splitting is the point
             "$build/tools/smtavf_cli" $bad >/dev/null 2>&1
