@@ -12,6 +12,9 @@
  *  - warmup equivalence: `RunControls::warmup` inside one run produces
  *    the same result as captureWarmupCheckpoint() + restore() + run(),
  *    which is the property shared-warmup campaigns rest on;
+ *  - golden payload digests: the FNV-1a of two warmup checkpoints'
+ *    payloads against tests/data/ckpt_golden.txt, so a change to any
+ *    serialize hook's wire bytes fails here;
  *  - fingerprint verification: wrong seed, wrong mix and (for non-warmup
  *    checkpoints) wrong protection are rejected; warmup checkpoints are
  *    deliberately protection-agnostic;
@@ -25,6 +28,9 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -277,6 +283,55 @@ TEST(CheckpointRestore, WarmupInRunEqualsCaptureRestore)
 
     std::uint64_t fp = experimentFingerprint(e);
     EXPECT_EQ(serializeRun(fp, ra), serializeRun(fp, rb));
+}
+
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 1099511628211ull;
+    }
+    return h;
+}
+
+TEST(CheckpointGolden, WarmupPayloadMatchesFixture)
+{
+    // Pins the wire bytes of every serialize hook: a hook that changes
+    // shape (or a packed structure that writes its fields differently)
+    // moves a digest here. A warmup boundary is drained, so the payload
+    // holds no MSHR entries whose order depends on the library's hash
+    // buckets; the tracked L2 puts CacheVulnTracker's L2 state in too.
+    std::ostringstream got;
+    got << "# mix payload-bytes fnv1a(payload): ICOUNT, trackL2Avf, "
+           "warmup checkpoint at 20000\n";
+    for (const char *mix : {"4ctx-mem-A", "2ctx-mix-A"}) {
+        Experiment e = testExperiment(mix, FetchPolicyKind::Icount);
+        e.cfg.avf.trackL2Avf = true;
+        Simulator sim(e.cfg, e.mix);
+        Checkpoint ck = sim.captureWarmupCheckpoint(20'000);
+        got << mix << " " << ck.payload.size() << " 0x" << std::hex
+            << fnv1a(ck.payload) << std::dec << "\n";
+    }
+
+    const std::string fixture =
+        std::string(SMTAVF_TEST_DATA_DIR) + "/ckpt_golden.txt";
+    if (std::getenv("SMTAVF_REGEN_GOLDEN")) {
+        std::ofstream out(fixture, std::ios::binary | std::ios::trunc);
+        ASSERT_TRUE(out.good()) << "cannot write " << fixture;
+        out << got.str();
+        GTEST_SKIP() << "regenerated " << fixture;
+    }
+    std::ifstream in(fixture, std::ios::binary);
+    ASSERT_TRUE(in.good()) << "missing fixture " << fixture
+                           << "; run once with SMTAVF_REGEN_GOLDEN=1";
+    std::ostringstream want;
+    want << in.rdbuf();
+    EXPECT_EQ(got.str(), want.str())
+        << "checkpoint payload bytes moved; rerun with "
+           "SMTAVF_REGEN_GOLDEN=1 only for an intended format change "
+           "(with a kCheckpointVersion bump)";
 }
 
 TEST(CheckpointRestore, FingerprintMismatchRejected)
