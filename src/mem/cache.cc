@@ -1,5 +1,7 @@
 #include "mem/cache.hh"
 
+#include <bit>
+
 #include "base/logging.hh"
 
 namespace smtavf
@@ -23,6 +25,7 @@ Cache::Cache(const CacheConfig &cfg)
         SMTAVF_FATAL(cfg_.name, ": zero geometry parameter");
     if (!powerOfTwo(cfg_.lineBytes))
         SMTAVF_FATAL(cfg_.name, ": line size must be a power of two");
+    lineShift_ = static_cast<std::uint32_t>(std::countr_zero(cfg_.lineBytes));
     std::uint64_t lines = cfg_.sizeBytes / cfg_.lineBytes;
     if (lines % cfg_.ways != 0)
         SMTAVF_FATAL(cfg_.name, ": lines not divisible by ways");
@@ -32,22 +35,14 @@ Cache::Cache(const CacheConfig &cfg)
     lines_.resize(lines);
 }
 
-std::uint32_t
-Cache::setIndex(Addr addr) const
-{
-    return static_cast<std::uint32_t>(addr / cfg_.lineBytes) & (sets_ - 1);
-}
-
 Cache::Line *
 Cache::findLine(Addr addr)
 {
     Addr line_addr = lineAddr(addr);
-    auto set = setIndex(addr);
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        auto &line = lines_[set * cfg_.ways + w];
-        if (line.valid && line.tag == line_addr)
-            return &line;
-    }
+    Line *set = &lines_[setIndex(addr) * cfg_.ways];
+    for (std::uint32_t w = 0; w < cfg_.ways; ++w)
+        if (set[w].valid() && set[w].tag == line_addr)
+            return &set[w];
     return nullptr;
 }
 
@@ -73,9 +68,8 @@ Cache::access(Addr addr, std::uint32_t size, bool is_write, ThreadId tid,
         return false;
     }
     ++hits_;
-    line->lastUse = ++useClock_;
-    if (is_write)
-        line->dirty = true;
+    line->state = (line->state & ~Line::kStampMask) | ++useClock_ |
+                  (is_write ? Line::kDirty : 0);
     if (observer_) {
         auto slot = static_cast<std::uint32_t>(line - lines_.data());
         observer_->onAccess(slot, addr, size, is_write, tid, now);
@@ -83,35 +77,57 @@ Cache::access(Addr addr, std::uint32_t size, bool is_write, ThreadId tid,
     return true;
 }
 
+inline void
+Cache::fillSet(Addr line_addr, std::uint32_t set, ThreadId tid, Cycle now)
+{
+    const std::uint32_t ways = cfg_.ways;
+    Line *lines = &lines_[set * ways];
+    std::uint32_t invalid = ways;
+    std::uint32_t lru = ways;
+    std::uint64_t lru_stamp = ~std::uint64_t{0};
+    for (std::uint32_t w = 0; w < ways; ++w) {
+        const Line &line = lines[w];
+        if (line.valid()) {
+            if (line.tag == line_addr)
+                return;
+            if (line.lastUse() < lru_stamp) {
+                lru_stamp = line.lastUse();
+                lru = w;
+            }
+        } else if (invalid == ways) {
+            invalid = w;
+        }
+    }
+
+    const std::uint32_t way = invalid != ways ? invalid : lru;
+    Line &victim = lines[way];
+    const std::uint32_t slot = set * ways + way;
+    if (observer_ && victim.valid())
+        observer_->onEvict(slot, victim.dirty(), now);
+    victim.tag = line_addr;
+    victim.state = Line::kValid | ++useClock_;
+    if (observer_)
+        observer_->onFill(slot, line_addr, tid, now);
+}
+
 void
 Cache::fill(Addr addr, ThreadId tid, Cycle now)
 {
-    if (findLine(addr))
-        return;
+    fillSet(lineAddr(addr), setIndex(addr), tid, now);
+}
 
-    Addr line_addr = lineAddr(addr);
-    auto set = setIndex(addr);
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < cfg_.ways; ++w) {
-        auto &line = lines_[set * cfg_.ways + w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (!victim || line.lastUse < victim->lastUse)
-            victim = &line;
+void
+Cache::prefill(Addr base, std::uint64_t size, ThreadId tid, Cycle now)
+{
+    const std::uint64_t count =
+        (size >> lineShift_) + ((size & (cfg_.lineBytes - 1)) != 0);
+    Addr line_addr = lineAddr(base);
+    std::uint32_t set = setIndex(base);
+    for (std::uint64_t i = 0; i < count; ++i) {
+        fillSet(line_addr, set, tid, now);
+        line_addr += cfg_.lineBytes;
+        set = (set + 1) & (sets_ - 1);
     }
-
-    auto slot = static_cast<std::uint32_t>(victim - lines_.data());
-    if (victim->valid && observer_)
-        observer_->onEvict(slot, victim->dirty, now);
-
-    victim->valid = true;
-    victim->dirty = false;
-    victim->tag = line_addr;
-    victim->lastUse = ++useClock_;
-    if (observer_)
-        observer_->onFill(slot, line_addr, tid, now);
 }
 
 void
@@ -119,12 +135,11 @@ Cache::flushAll(Cycle now)
 {
     for (std::uint32_t slot = 0; slot < lines_.size(); ++slot) {
         auto &line = lines_[slot];
-        if (!line.valid)
+        if (!line.valid())
             continue;
         if (observer_)
-            observer_->onEvict(slot, line.dirty, now);
-        line.valid = false;
-        line.dirty = false;
+            observer_->onEvict(slot, line.dirty(), now);
+        line.state &= Line::kStampMask;
     }
 }
 

@@ -18,6 +18,7 @@
 
 #include "base/arena.hh"
 #include "base/types.hh"
+#include "ckpt/serializer.hh"
 
 namespace smtavf
 {
@@ -83,6 +84,16 @@ class Cache
      */
     void fill(Addr addr, ThreadId tid, Cycle now);
 
+    /**
+     * fill() every line the loop `for (a = base; a < base + size;
+     * a += lineBytes) fill(a, tid, now)` reaches: the ceil(size /
+     * lineBytes) consecutive lines from the one holding @p base. Same
+     * victims, LRU stamps and observer calls as that loop, at the cost
+     * of one set scan per line (cache pre-warming before cycle 0). The
+     * range must not wrap the address space.
+     */
+    void prefill(Addr base, std::uint64_t size, ThreadId tid, Cycle now);
+
     /** Evict every resident line (used to finalize AVF at end of run). */
     void flushAll(Cycle now);
 
@@ -114,34 +125,79 @@ class Cache
     {
         ar(lines_);
         ar(useClock_);
+        if constexpr (Ar::loading)
+            checkStamp(useClock_);
         ar(hits_);
         ar(misses_);
     }
 
   private:
+    /**
+     * One line in 16 bytes, so a 4-way set spans 64. `state` packs the
+     * LRU stamp (bits 0-61, a useClock_ value) with the dirty (bit 62)
+     * and valid (bit 63) flags. On the wire a line is four fields:
+     * valid, dirty, tag and stamp; loading rejects a stamp that does not
+     * fit its 62 bits.
+     */
     struct Line
     {
-        bool valid = false;
-        bool dirty = false;
+        static constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
+        static constexpr std::uint64_t kDirty = std::uint64_t{1} << 62;
+        static constexpr std::uint64_t kStampMask = kDirty - 1;
+
         Addr tag = 0; ///< full line address (simplifies debugging)
-        std::uint64_t lastUse = 0;
+        std::uint64_t state = 0;
+
+        bool valid() const { return (state & kValid) != 0; }
+        bool dirty() const { return (state & kDirty) != 0; }
+        std::uint64_t lastUse() const { return state & kStampMask; }
 
         template <class Ar>
         void
         serialize(Ar &ar)
         {
-            ar(valid);
-            ar(dirty);
+            bool is_valid = valid();
+            bool is_dirty = dirty();
+            std::uint64_t last_use = lastUse();
+            ar(is_valid);
+            ar(is_dirty);
             ar(tag);
-            ar(lastUse);
+            ar(last_use);
+            if constexpr (Ar::loading) {
+                checkStamp(last_use);
+                state = last_use | (is_dirty ? kDirty : 0) |
+                        (is_valid ? kValid : 0);
+            }
         }
     };
 
-    std::uint32_t setIndex(Addr addr) const;
+    /** Loading guard: a stamp beyond Line::kStampMask cannot be packed. */
+    static void
+    checkStamp(std::uint64_t stamp)
+    {
+        if (stamp > Line::kStampMask)
+            throw CheckpointError("cache LRU stamp " +
+                                  std::to_string(stamp) +
+                                  " beyond the packed range");
+    }
+
+    std::uint32_t setIndex(Addr addr) const
+    {
+        return static_cast<std::uint32_t>(addr >> lineShift_) & (sets_ - 1);
+    }
+
     Line *findLine(Addr addr);
     const Line *findLine(Addr addr) const;
 
+    /**
+     * The one fill routine: one scan of @p set finds a hit (nothing to
+     * do), the first invalid way and the first least-recently-used way;
+     * the victim is the invalid way if any, else the LRU way.
+     */
+    void fillSet(Addr line_addr, std::uint32_t set, ThreadId tid, Cycle now);
+
     CacheConfig cfg_;
+    std::uint32_t lineShift_;
     std::uint32_t sets_;
     AVec<Line> lines_;
     CacheObserver *observer_ = nullptr;

@@ -103,7 +103,17 @@ class Tlb
         }
     };
 
+    /**
+     * Scan the set of (@p vpn, @p tid): its entry on a hit, else null
+     * with @p victim set to the last invalid way, or the first least
+     * recently used one when the set is full.
+     */
+    Entry *lookup(Addr vpn, ThreadId tid, Entry *&victim);
+    /** Replace @p victim with (@p vpn, @p tid), notifying the observer. */
+    void install(Entry &victim, Addr vpn, ThreadId tid, Cycle now);
+
     TlbConfig cfg_;
+    std::uint32_t pageShift_;
     std::uint32_t sets_;
     AVec<Entry> entries_;
     TlbObserver *observer_ = nullptr;

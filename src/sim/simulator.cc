@@ -115,11 +115,6 @@ Simulator::reset(const MachineConfig &cfg, const WorkloadMix &mix) noexcept
 void
 Simulator::prewarm()
 {
-    auto fill_lines = [](Cache &c, ThreadId tid, Addr base,
-                         std::uint64_t size) {
-        for (Addr a = base; a < base + size; a += c.config().lineBytes)
-            c.fill(a, tid, 0);
-    };
     auto fill_pages = [](Tlb &t, ThreadId tid, Addr base, std::uint64_t size,
                          std::uint64_t max_pages) {
         std::uint64_t pages = size / t.config().pageBytes + 1;
@@ -138,13 +133,13 @@ Simulator::prewarm()
         auto tid = static_cast<ThreadId>(t);
         auto h = gens_[t]->prewarmHints();
 
-        fill_lines(hier_.il1(), tid, h.code.base, h.code.size);
-        fill_lines(hier_.l2(), tid, h.code.base, h.code.size);
-        fill_lines(hier_.dl1(), tid, h.hot.base, h.hot.size);
-        fill_lines(hier_.l2(), tid, h.hot.base,
-                   std::min(h.hot.size, l2_share));
-        fill_lines(hier_.l2(), tid, h.warm.base,
-                   std::min(h.warm.size, l2_share));
+        hier_.il1().prefill(h.code.base, h.code.size, tid, 0);
+        hier_.l2().prefill(h.code.base, h.code.size, tid, 0);
+        hier_.dl1().prefill(h.hot.base, h.hot.size, tid, 0);
+        hier_.l2().prefill(h.hot.base, std::min(h.hot.size, l2_share), tid,
+                           0);
+        hier_.l2().prefill(h.warm.base, std::min(h.warm.size, l2_share),
+                           tid, 0);
 
         fill_pages(hier_.itlb(), tid, h.code.base, h.code.size, itlb_share);
         fill_pages(hier_.dtlb(), tid, h.hot.base, h.hot.size,

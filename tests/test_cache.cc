@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
+#include "ckpt/serializer.hh"
 #include "mem/cache.hh"
 #include "test_util.hh"
 
@@ -191,6 +193,33 @@ TEST(CacheTest, DistinctSetsDontConflict)
         c.fill(0x1000 + s * 64, 0, 1);
     for (int s = 0; s < 8; ++s)
         EXPECT_TRUE(c.probe(0x1000 + s * 64));
+}
+
+TEST(CacheTest, LoadRejectsStampsBeyondThePackedRange)
+{
+    Cache c(smallCache());
+    c.fill(0x1000, 0, 1);
+    Serializer ser;
+    c.serialize(ser);
+    const std::string good = ser.take();
+
+    // Wire layout: u64 line count, then per line valid (1), dirty (1),
+    // tag (8) and stamp (8), then useClock_, hits and misses (8 each).
+    const std::size_t first_stamp = 8 + 1 + 1 + 8;
+    const std::size_t use_clock = 8 + 18 * std::size_t{c.numLines()};
+    for (std::size_t at : {first_stamp, use_clock}) {
+        std::string bad = good;
+        bad[at + 7] = 0x40; // 2^62: one past the 62-bit stamp field
+        Cache fresh(smallCache());
+        Deserializer des(bad);
+        EXPECT_THROW(fresh.serialize(des), CheckpointError) << "offset " << at;
+    }
+
+    Cache fresh(smallCache());
+    Deserializer des(good);
+    fresh.serialize(des);
+    EXPECT_TRUE(des.exhausted());
+    EXPECT_TRUE(fresh.probe(0x1000));
 }
 
 } // namespace
