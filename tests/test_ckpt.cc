@@ -18,6 +18,9 @@
  *  - fingerprint verification: wrong seed, wrong mix and (for non-warmup
  *    checkpoints) wrong protection are rejected; warmup checkpoints are
  *    deliberately protection-agnostic;
+ *  - shared warmups: campaigns and the beam explorer return the same
+ *    bytes with one warmup as with one per run, and simulate fewer
+ *    instructions;
  *  - the windowed AVF sampler: row deltas conserve the ledger's totals,
  *    and cycle and instruction windows both start where the measured
  *    window starts, identically after `--warmup` and after a restore.
@@ -40,6 +43,7 @@
 #include "ckpt/checkpoint.hh"
 #include "ckpt/serializer.hh"
 #include "policy/prat.hh"
+#include "protect/explorer.hh"
 #include "protect/scheme.hh"
 #include "sim/campaign.hh"
 #include "sim/experiment.hh"
@@ -774,6 +778,46 @@ TEST(SharedWarmupCampaign, SharingSimulatesFewerInstructions)
     EXPECT_LT(shared_count, unshared);
     EXPECT_LE(shared_count + 2 * base.warmup,
               unshared + base.warmup / 10); // generous slack for drain
+}
+
+TEST(SharedWarmupExplorer, BeamFrontierMatchesAndSavesEveryWarmup)
+{
+    // The beam explorer's shared warmup: the same result bytes as a
+    // warmup per evaluation, for at least evaluations x warmup fewer
+    // simulated instructions.
+    constexpr std::uint64_t kWarmup = 20'000;
+    struct Outcome
+    {
+        std::string csv;
+        std::uint64_t instrs = 0;
+        std::uint64_t evaluations = 0;
+    };
+    auto explore = [&](bool shared) {
+        ProtectionExplorer ex(table1Config(2), findMix("2ctx-mix-A"),
+                              30'000);
+        CampaignRunner pool(4);
+        BeamOptions bo;
+        bo.beamWidth = 4;
+        bo.generations = 2;
+        bo.maxStructures = 4;
+        bo.warmup = kWarmup;
+        bo.sharedWarmup = shared;
+        auto &counter = simulatedInstructionCounter();
+        counter.store(0);
+        ExplorationResult res = ex.exploreBeam(pool, bo);
+        return Outcome{res.csv(), counter.load(), res.evaluations};
+    };
+    const Outcome plain = explore(false);
+    const Outcome shared = explore(true);
+
+    EXPECT_EQ(plain.csv, shared.csv);
+    ASSERT_GT(plain.evaluations, 1u);
+    // The shared run simulates its one warmup (and the drain past it)
+    // on top; 2 x warmup of slack covers both.
+    EXPECT_LE(shared.instrs + plain.evaluations * kWarmup,
+              plain.instrs + 2 * kWarmup)
+        << "unshared " << plain.instrs << ", shared " << shared.instrs
+        << ", evaluations " << plain.evaluations;
 }
 
 } // namespace

@@ -191,7 +191,10 @@ for preset in $presets; do
     elif [ "$preset" = coverage ]; then
         # An unoptimized instrumented full suite would be slow for no
         # extra signal: the gates price src/protect/ and src/policy/
-        # only, so run the tests that exercise those surfaces.
+        # only, so run the tests that exercise those surfaces. Counts
+        # left by an earlier run (or by objects built at another
+        # commit) would add to this run's, so the gates start from none.
+        find "$build" -name '*.gcda' -delete
         (cd "$build" && ctest --output-on-failure -j "$jobs" -R \
             'ProtScheme|ProtectionConfig|ProtectedRun|CostModel|Coverage|Explorer|BeamProperties|ProtectCliFuzz|RunCliFuzz|CampaignCliFuzz|CliHelp|CampaignCsv|PolicyProperties|PolicyTest|FactoryTest')
         echo "==> [$preset] gate"
