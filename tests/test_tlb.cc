@@ -58,6 +58,7 @@ TEST(TlbTest, RejectsBadGeometry)
     EXPECT_THROW(Tlb({"x", 0, 2, 8192, 200}), SimError);
     EXPECT_THROW(Tlb({"x", 9, 2, 8192, 200}), SimError);
     EXPECT_THROW(Tlb({"x", 8, 2, 1000, 200}), SimError); // page !pow2
+    EXPECT_THROW(Tlb({"x", 8, 2, 0, 200}), SimError);    // no page size
 }
 
 TEST(TlbTest, MissFillsAndPaysPenalty)
