@@ -1,5 +1,6 @@
 #include "sim/campaign.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -427,6 +428,8 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
     };
 
     ScopedLoggingThrows throws_guard;
+    const bool wire_cancel = opt.isolate == IsolateMode::Thread &&
+                             opt.cancel && opt.cancelCheckCycles > 0;
 
     // Shared warmup: simulate each distinct warmup prefix once and let
     // every run in the group restore the captured checkpoint instead of
@@ -477,8 +480,7 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                         "warmup not captured: campaign cancelled or past "
                         "its soft timeout");
                 MachineConfig cfg = e.cfg;
-                if (opt.isolate == IsolateMode::Thread && opt.cancel &&
-                    opt.cancelCheckCycles > 0) {
+                if (wire_cancel) {
                     cfg.cancel = opt.cancel;
                     cfg.cancelCheckCycles = opt.cancelCheckCycles;
                 }
@@ -498,21 +500,34 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
     }
 
     // Core of one run: a shared-warmup restore, the runFn seam, or a
-    // Simulator built for this run alone (runExperiment).
-    auto run_one = [&](const Experiment &e, std::size_t i) -> SimResult {
+    // Simulator built for this run alone (runExperiment). Thread mode
+    // wires the campaign's cancel flag into the run's config so
+    // Simulator::run() can unwind mid-budget; both knobs are
+    // fingerprint-excluded, so journal keys are unchanged. (A forked
+    // child's copy of the flag never flips; the supervisor's SIGKILL
+    // handles cancellation there.)
+    auto run_one = [&](std::size_t i) -> SimResult {
+        const Experiment *e = &exps[i];
+        Experiment wired;
+        if (wire_cancel) {
+            wired = exps[i];
+            wired.cfg.cancel = opt.cancel;
+            wired.cfg.cancelCheckCycles = opt.cancelCheckCycles;
+            e = &wired;
+        }
         if (opt.runFn)
-            return opt.runFn(e, i);
-        if (share && e.warmup > 0) {
+            return opt.runFn(*e, i);
+        if (share && e->warmup > 0) {
             auto it = warmups.find(
-                checkpointFingerprint(e.cfg, e.mix, e.warmup, true));
+                checkpointFingerprint(e->cfg, e->mix, e->warmup, true));
             if (it != warmups.end()) {
                 const WarmupGroup &g = it->second;
                 if (!g.error.empty())
                     throw std::runtime_error("shared warmup capture failed: "
                                              + g.error);
                 std::uint64_t budget =
-                    e.budget ? e.budget : defaultBudget(e.mix.contexts);
-                Simulator sim(e.cfg, e.mix);
+                    e->budget ? e->budget : defaultBudget(e->mix.contexts);
+                Simulator sim(e->cfg, e->mix);
                 if (!g.path.empty())
                     sim.restore(loadCheckpointFile(g.path));
                 else
@@ -520,7 +535,7 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 return sim.run(budget);
             }
         }
-        return runExperiment(e);
+        return runExperiment(*e);
     };
 
     std::mutex progress_mutex;
@@ -541,160 +556,59 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
         progress(p);
     };
 
-    // Apply one child/thread outcome to run i's record. Returns true when
-    // the run is settled; false leaves the retryable failure in @p msg.
-    auto applyChild = [&](ChildOutcome &&co, std::size_t i, RunOutcome &out,
-                          std::string &msg) -> bool {
-        switch (co.kind) {
-        case ChildOutcome::Kind::Result:
+    // Settle one attempt of run i from its classified outcome. Returns
+    // true when the run must be dispatched again.
+    auto settle = [&](std::size_t i, ChildOutcome &&co,
+                      double seconds) -> bool {
+        using Kind = ChildOutcome::Kind;
+        RunOutcome &out = report.outcomes[i];
+        ++out.attempts;
+        out.crash = co.crash;
+        if (co.kind == Kind::Result) {
             out.result = std::move(co.result);
             out.status = RunStatus::Ok;
             out.error.clear();
             if (journal)
                 journal->append(fps[i], out.result);
-            return true;
-        case ChildOutcome::Kind::Livelock:
-        case ChildOutcome::Kind::Cancelled:
-            // Deterministic (livelock) or deliberate (cancel): never
-            // retried, like thread mode.
+        } else if (co.kind == Kind::Livelock || co.kind == Kind::Cancelled ||
+                   co.crash == CrashKind::CpuLimit ||
+                   co.crash == CrashKind::HardTimeout) {
+            // Deterministic (livelock), deliberate (cancel), or a run
+            // that burned past its CPU/wall budget and would burn
+            // through it again: timed out, never retried.
             out.status = RunStatus::TimedOut;
             out.error = std::move(co.message);
-            return true;
-        case ChildOutcome::Kind::Crash:
-            out.crash = co.crash;
-            if (co.crash == CrashKind::CpuLimit ||
-                co.crash == CrashKind::HardTimeout) {
-                // A run that burned past its CPU/wall budget would burn
-                // through it again: timed out, not retried.
-                out.status = RunStatus::TimedOut;
-                out.error = std::move(co.message);
+        } else if (!out.error.empty() && co.message == out.error) {
+            // out.error holds the previous attempt's failure: the same
+            // seed failing the same way twice is a deterministic bug,
+            // not transient flakiness.
+            out.status = RunStatus::Quarantined;
+        } else {
+            out.error = std::move(co.message);
+            if (out.attempts <= opt.retries && !expired())
                 return true;
-            }
-            msg = std::move(co.message);
-            return false;
-        case ChildOutcome::Kind::Error:
-            msg = std::move(co.message);
-            return false;
+            out.status = RunStatus::Failed;
         }
+        notify(i, seconds);
         return false;
     };
 
-    // Shared retry policy: returns true when the run should be attempted
-    // again, false once it has been settled as Quarantined or Failed.
-    auto retryable = [&](RunOutcome &out, std::string &prev_error,
-                         const std::string &msg) -> bool {
-        out.error = msg;
-        if (!prev_error.empty() && msg == prev_error) {
-            // Same seed, same failure, twice: a deterministic bug, not
-            // transient flakiness.
-            out.status = RunStatus::Quarantined;
-            return false;
-        }
-        prev_error = msg;
-        if (out.attempts > opt.retries || expired()) {
-            out.status = RunStatus::Failed;
-            return false;
-        }
-        return true;
-    };
-
-    auto run_single = [&](std::size_t i) {
-        auto t0 = std::chrono::steady_clock::now();
-        RunOutcome &out = report.outcomes[i];
-
-        // Thread-mode cancel poll: wire the campaign's flag into this
-        // run's config so Simulator::run() can unwind mid-budget. Both
-        // knobs are fingerprint-excluded, so journal keys are unchanged.
-        // (Process mode skips this: the child's copy of the flag never
-        // flips; the supervisor's SIGKILL handles cancellation there.)
-        const Experiment *exp = &exps[i];
-        Experiment wired;
-        if (opt.isolate == IsolateMode::Thread && opt.cancel &&
-            opt.cancelCheckCycles > 0) {
-            wired = exps[i];
-            wired.cfg.cancel = opt.cancel;
-            wired.cfg.cancelCheckCycles = opt.cancelCheckCycles;
-            exp = &wired;
-        }
-
-        if (auto it = replay.find(fps[i]); it != replay.end()) {
-            out.status = RunStatus::Ok;
-            out.result = it->second;
-            out.fromJournal = true;
-        } else if (expired()) {
-            out.status = RunStatus::TimedOut;
-            out.error = "not started: campaign cancelled or past its "
-                        "soft timeout";
-        } else {
-            std::string prev_error;
-            for (;;) {
-                ++out.attempts;
-                if (out.attempts > 1 && opt.backoffSeconds > 0.0)
-                    std::this_thread::sleep_for(
-                        std::chrono::duration<double>(retryBackoffSeconds(
-                            out.attempts - 1, out.seed,
-                            opt.backoffSeconds)));
-                out.crash = CrashKind::None;
-                std::string msg;
-                bool settled = false;
-                if (opt.isolate == IsolateMode::Process) {
-                    ChildLimits lim;
-                    lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
-                    lim.cpuSeconds = opt.childCpuSeconds;
-                    lim.memoryBytes = opt.childMemoryBytes;
-                    lim.cancel = opt.cancel;
-                    ChildOutcome co =
-                        runInChild([&] { return run_one(*exp, i); }, lim);
-                    settled = applyChild(std::move(co), i, out, msg);
-                } else {
-                    try {
-                        out.result = run_one(*exp, i);
-                        out.status = RunStatus::Ok;
-                        out.error.clear();
-                        if (journal)
-                            journal->append(fps[i], out.result);
-                        settled = true;
-                    } catch (const LivelockError &err) {
-                        // Deterministic by construction: the same seed
-                        // spins through the same window. Never retried.
-                        out.status = RunStatus::TimedOut;
-                        out.error = err.what();
-                        settled = true;
-                    } catch (const CancelledError &err) {
-                        // The run was healthy; the campaign was asked to
-                        // stop. Timed out, never retried.
-                        out.status = RunStatus::TimedOut;
-                        out.error = err.what();
-                        settled = true;
-                    } catch (const std::exception &err) {
-                        msg = err.what();
-                    } catch (const SimError &err) {
-                        msg = err.message;
-                    }
-                }
-                if (settled)
-                    break;
-                if (!retryable(out, prev_error, msg))
-                    break;
-            }
-        }
-
-        std::chrono::duration<double> dt =
-            std::chrono::steady_clock::now() - t0;
-        notify(i, dt.count());
-    };
-
-    // Batched process isolation: consecutive submission-order slices of
-    // runsPerChild runs share ONE forked child, which builds a Simulator
-    // per run and frames each result over the pipe protocol
-    // (runBatchInChild). A crash settles or
-    // retries only the run it is attributed to; completed frames survive,
-    // and the unstarted remainder is re-dispatched in a fresh child
-    // without being charged an attempt.
-    auto run_batch = [&](const std::vector<std::size_t> &members) {
-        std::vector<std::size_t> pending;
-        std::unordered_map<std::size_t, std::string> prev_errors;
-        for (std::size_t i : members) {
+    // The one attempt loop. Group g is the runs [first, last): one run
+    // in thread mode, runsPerChild consecutive runs in process mode.
+    // Its pending runs are slots[first, end). Each dispatch runs them —
+    // in one forked child that frames each result over the pipe
+    // protocol (runBatchInChild), or in this thread through the same
+    // classifier — settles every run it attempted and keeps the rest
+    // pending: a failure to retry, or a run the child never started,
+    // which is not charged an attempt.
+    const std::size_t per_group =
+        opt.isolate == IsolateMode::Process ? opt.runsPerChild : 1;
+    std::vector<std::size_t> slots(exps.size());
+    auto run_group = [&](std::size_t g) {
+        const std::size_t first = g * per_group;
+        const std::size_t last = std::min(exps.size(), first + per_group);
+        std::size_t end = first;
+        for (std::size_t i = first; i < last; ++i) {
             RunOutcome &out = report.outcomes[i];
             if (auto it = replay.find(fps[i]); it != replay.end()) {
                 out.status = RunStatus::Ok;
@@ -702,14 +616,14 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                 out.fromJournal = true;
                 notify(i, 0.0);
             } else {
-                pending.push_back(i);
+                slots[end++] = i;
             }
         }
 
-        while (!pending.empty()) {
+        while (end > first) {
             if (expired()) {
-                for (std::size_t i : pending) {
-                    RunOutcome &out = report.outcomes[i];
+                for (std::size_t j = first; j < end; ++j) {
+                    RunOutcome &out = report.outcomes[slots[j]];
                     if (out.attempts == 0) {
                         out.status = RunStatus::TimedOut;
                         out.error = "not started: campaign cancelled or "
@@ -717,112 +631,89 @@ runTolerant(CampaignRunner &pool, const std::vector<Experiment> &exps,
                     } else {
                         out.status = RunStatus::Failed;
                     }
-                    notify(i, 0.0);
+                    notify(slots[j], 0.0);
                 }
-                break;
+                return;
             }
 
-            // Back off before a retry child, keyed to the head retried
-            // run so replays of the campaign sleep identically.
+            // Back off before a retry, keyed to the head retried run so
+            // replays of the campaign sleep identically.
             {
-                const RunOutcome &head = report.outcomes[pending.front()];
+                const RunOutcome &head = report.outcomes[slots[first]];
                 if (head.attempts > 0 && opt.backoffSeconds > 0.0)
                     std::this_thread::sleep_for(
                         std::chrono::duration<double>(retryBackoffSeconds(
                             head.attempts, head.seed, opt.backoffSeconds)));
             }
 
-            ChildLimits lim;
-            // The supervisor scales the wall deadline by the batch size;
-            // RLIMIT_CPU has no per-run re-arm, so scale it here.
-            lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
-            lim.cpuSeconds = opt.childCpuSeconds
-                                 ? opt.childCpuSeconds * pending.size()
-                                 : 0;
-            lim.memoryBytes = opt.childMemoryBytes;
-            lim.cancel = opt.cancel;
+            // Dispatch the pending runs, settle each run the dispatch
+            // attempted, and compact the rest to the front of the slots.
+            const std::size_t n = end - first;
+            std::size_t kept = first;
+            const auto t0 = std::chrono::steady_clock::now();
+            auto elapsed = [&] {
+                return std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - t0)
+                    .count();
+            };
+            if (opt.isolate == IsolateMode::Thread) {
+                const std::size_t i = slots[first];
+                ChildOutcome co = classifyRun([&] { return run_one(i); });
+                if (settle(i, std::move(co), elapsed()))
+                    slots[kept++] = i;
+            } else {
+                ChildLimits lim;
+                // The supervisor scales the wall deadline by the batch
+                // size; RLIMIT_CPU has no per-run re-arm, so scale it here.
+                lim.hardTimeoutSeconds = opt.hardTimeoutSeconds;
+                lim.cpuSeconds = opt.childCpuSeconds * n;
+                lim.memoryBytes = opt.childMemoryBytes;
+                lim.cancel = opt.cancel;
+                ChildBatchOutcome bo = runBatchInChild(
+                    n,
+                    [&](std::size_t k) { return run_one(slots[first + k]); },
+                    lim);
 
-            auto t0 = std::chrono::steady_clock::now();
-            const std::vector<std::size_t> snapshot = pending;
-            ChildBatchOutcome bo = runBatchInChild(
-                snapshot.size(),
-                [&](std::size_t k) {
-                    return run_one(exps[snapshot[k]], snapshot[k]);
-                },
-                lim);
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-
-            // Attribute a death to the in-flight run; a child that died
-            // without a started-but-unframed run (fork failure, death
-            // between runs) charges the first unreported run so every
-            // dispatch makes progress toward the retry bound.
-            std::size_t attributed = ChildBatchOutcome::npos;
-            if (bo.childDied && !bo.cancelled) {
-                attributed = bo.inFlight;
-                if (attributed == ChildBatchOutcome::npos)
-                    for (std::size_t k = 0; k < snapshot.size(); ++k)
+                // Attribute a death to the in-flight run. A crash without
+                // a started-but-unframed run (fork failure, death between
+                // runs) charges the first unreported run so every
+                // dispatch makes progress toward the retry bound; a
+                // cancel kill charges only a run that had started.
+                std::size_t attributed = bo.inFlight;
+                if (bo.childDied && !bo.cancelled &&
+                    attributed == ChildBatchOutcome::npos)
+                    for (std::size_t k = 0; k < n; ++k)
                         if (!bo.reported[k]) {
                             attributed = k;
                             break;
                         }
-            }
 
-            std::size_t processed = 0;
-            for (std::size_t k = 0; k < snapshot.size(); ++k)
-                if (bo.reported[k] || k == attributed)
-                    ++processed;
-            const double share =
-                dt.count() / static_cast<double>(processed ? processed : 1);
+                std::size_t processed = 0;
+                for (std::size_t k = 0; k < n; ++k)
+                    if (bo.reported[k] || k == attributed)
+                        ++processed;
+                const double seconds =
+                    elapsed() / static_cast<double>(processed ? processed : 1);
 
-            std::vector<std::size_t> next;
-            for (std::size_t k = 0; k < snapshot.size(); ++k) {
-                const std::size_t i = snapshot[k];
-                RunOutcome &out = report.outcomes[i];
-                if (!bo.reported[k] && k != attributed) {
-                    // Unstarted (or torn past the crash point): not an
-                    // attempt; re-dispatch. A cancelled batch drains on
-                    // the next loop's expired() check.
-                    next.push_back(i);
-                    continue;
-                }
-                ++out.attempts;
-                out.crash = CrashKind::None;
-                ChildOutcome co;
-                if (bo.reported[k]) {
-                    co = std::move(bo.runs[k]);
-                } else {
-                    co.kind = ChildOutcome::Kind::Crash;
-                    co.crash = bo.crash;
-                    co.message = bo.crashMessage;
-                }
-                std::string msg;
-                if (applyChild(std::move(co), i, out, msg)) {
-                    notify(i, share);
-                } else if (!retryable(out, prev_errors[i], msg)) {
-                    notify(i, share);
-                } else {
-                    next.push_back(i);
+                for (std::size_t k = 0; k < n; ++k) {
+                    const std::size_t i = slots[first + k];
+                    if (!bo.reported[k] && k != attributed) {
+                        // Unstarted (or torn past the crash point): not an
+                        // attempt; re-dispatch. A cancelled batch drains
+                        // on the next loop's expired() check.
+                        slots[kept++] = i;
+                        continue;
+                    }
+                    if (settle(i, std::move(bo.runs[k]), seconds))
+                        slots[kept++] = i;
                 }
             }
-            pending = std::move(next);
+            end = kept;
         }
     };
 
-    if (opt.isolate == IsolateMode::Process && opt.runsPerChild > 1) {
-        std::vector<std::vector<std::size_t>> batches;
-        for (std::size_t i = 0; i < exps.size(); i += opt.runsPerChild) {
-            std::vector<std::size_t> b;
-            for (std::size_t j = i;
-                 j < exps.size() && j < i + opt.runsPerChild; ++j)
-                b.push_back(j);
-            batches.push_back(std::move(b));
-        }
-        pool.forEach(batches.size(),
-                     [&](std::size_t bi) { run_batch(batches[bi]); });
-    } else {
-        pool.forEach(exps.size(), [&](std::size_t i) { run_single(i); });
-    }
+    pool.forEach((exps.size() + per_group - 1) / per_group,
+                 [&](std::size_t g) { run_group(g); });
 
     for (const auto &kv : warmups)
         if (!kv.second.path.empty())

@@ -219,9 +219,9 @@ struct RunOutcome
     unsigned attempts = 0;  ///< simulations actually started (0: skipped)
     bool fromJournal = false; ///< satisfied from the resume journal
     /**
-     * Crash taxonomy of the *last* attempt, process-isolation campaigns
-     * only (sim/isolate.hh); None for thread-mode runs and for failures
-     * that never killed the child.
+     * Crash taxonomy of the *last* attempt (sim/isolate.hh): how a
+     * process-isolation child died, or Oom when the run's allocation
+     * failed in either mode; None otherwise.
      */
     CrashKind crash = CrashKind::None;
 };
@@ -241,10 +241,12 @@ struct CampaignOptions
     const std::atomic<bool> *cancel = nullptr;
     /**
      * Where each run executes. Thread (default) runs in-process on the
-     * pool; Process forks a sandboxed child per run (sim/isolate.hh) so
-     * crashes, runaway allocations and wedged runs are contained and
-     * classified instead of taking the campaign down. Healthy results are
-     * bit-identical across modes (hexfloat wire format).
+     * pool; Process runs in forked sandboxed children (sim/isolate.hh,
+     * @ref runsPerChild per child) so crashes, runaway allocations and
+     * wedged runs are contained and classified instead of taking the
+     * campaign down. Both modes classify failures with classifyRun(),
+     * and healthy results are bit-identical across modes (hexfloat wire
+     * format).
      */
     IsolateMode isolate = IsolateMode::Thread;
     /**
@@ -257,12 +259,12 @@ struct CampaignOptions
      * Process mode: dispatch this many consecutive runs per forked
      * child over the framed `run v3` pipe protocol, amortizing the
      * fork while keeping the sandbox; each run in the child builds its
-     * own Simulator. Each run's
-     * result frames out as it completes, so runs finished before a
-     * crash survive it; a death is attributed to the in-flight run and
-     * only that run plus the unstarted remainder re-dispatch. The
-     * hard-timeout and CPU budgets scale with the batch size. 1 (the
-     * default) is the historical child-per-run behaviour; values > 1
+     * own Simulator. Each run's result frames out as it completes, so
+     * runs finished before a crash survive it; a death is attributed
+     * to the in-flight run and only that run plus the unstarted
+     * remainder re-dispatch. The hard-timeout and CPU budgets scale
+     * with the batch size. 1 (the default) is a batch of one: a child
+     * per run, over the same protocol and attempt loop. Values > 1
      * require process isolation.
      */
     unsigned runsPerChild = 1;
@@ -363,11 +365,12 @@ std::string campaignCsv(const std::vector<Experiment> &exps,
                         const CampaignReport &report);
 
 /**
- * Run a campaign that survives failing runs. Each run executes behind an
- * exception boundary (fatal/panic are redirected to exceptions for the
- * campaign's duration); a failure is retried, quarantined or timed out
- * per RunStatus, and the campaign always completes with one RunOutcome
- * per experiment. Ok results are bit-identical to a plain run() of the
+ * Run a campaign that survives failing runs. Each run executes behind
+ * classifyRun()'s exception boundary (fatal/panic are redirected to
+ * exceptions for the campaign's duration), in this process or in a
+ * forked child; a failure is retried, quarantined or timed out per
+ * RunStatus, and the campaign always completes with one RunOutcome per
+ * experiment. Ok results are bit-identical to a plain run() of the
  * same descriptors — the tolerant machinery never perturbs a healthy
  * simulation — and journal replay preserves that equality exactly
  * (tests/test_robustness.cc proves both differentially).

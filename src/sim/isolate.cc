@@ -17,6 +17,7 @@
 #include <sstream>
 #include <utility>
 
+#include "base/logging.hh"
 #include "base/rng.hh"
 #include "sim/errors.hh"
 #include "sim/journal.hh"
@@ -117,32 +118,21 @@ sandboxChild(const ChildLimits &limits)
     }
 }
 
-/**
- * Execute one run behind the child's exception boundary and encode the
- * result as a (tag, payload) pair — the unit both wire formats ship.
- * Tag "ok" carries a `run v3` journal record (hexfloat-exact + CRC);
- * every other tag carries the failure message.
- */
-std::pair<std::string, std::string>
-runOneTagged(const std::function<SimResult()> &fn)
+/** Frame tag of a classified outcome; decodeTagged() inverts it. */
+const char *
+frameTag(const ChildOutcome &co)
 {
-    try {
-        return {"ok", serializeRun(0, fn())};
-    } catch (const CancelledError &e) {
-        return {"cancelled", e.what()};
-    } catch (const LivelockError &e) {
-        return {"livelock", e.what()};
-    } catch (const std::bad_alloc &) {
-        return {"oom", "allocation failed under the child memory cap "
-                       "(std::bad_alloc)"};
-    } catch (const std::exception &e) {
-        return {"error", e.what()};
-    } catch (...) {
-        return {"error", "unknown exception in isolated child"};
+    switch (co.kind) {
+    case ChildOutcome::Kind::Result: return "ok";
+    case ChildOutcome::Kind::Livelock: return "livelock";
+    case ChildOutcome::Kind::Cancelled: return "cancelled";
+    case ChildOutcome::Kind::Crash: return "oom"; // classifyRun's only crash
+    case ChildOutcome::Kind::Error: return "error";
     }
+    return "error";
 }
 
-/** Decode one (tag, payload) report back into a ChildOutcome. */
+/** Decode one (tag, payload) frame back into a ChildOutcome. */
 ChildOutcome
 decodeTagged(const std::string &tag, std::string &&payload)
 {
@@ -181,31 +171,15 @@ decodeTagged(const std::string &tag, std::string &&payload)
 }
 
 /**
- * Child-side main: sandbox, run, report, _exit. Never returns and never
- * lets an exception escape — a throw out of here would unwind into the
- * forked copy of the parent's stack. The report travels as
- * `<tag>\n<payload>`.
- */
-[[noreturn]] void
-childMain(const std::function<SimResult()> &fn, const ChildLimits &limits,
-          int fd)
-{
-    sandboxChild(limits);
-    auto [tag, payload] = runOneTagged(fn);
-    writeAll(fd, tag + "\n" + payload);
-    ::close(fd);
-    // _exit, not exit: the child must not run the parent's atexit
-    // handlers or flush duplicated stdio buffers.
-    ::_exit(0);
-}
-
-/**
- * Batched child main: the framed `run v3`-over-pipe protocol. Before
- * each run the child announces `start <k>\n` — the breadcrumb the
- * supervisor uses to attribute a death — and after it writes a
- * self-delimiting `<tag> <k> <len>\n<payload>` frame. Frames land on
- * the pipe as runs complete, so everything finished before a crash is
- * already with the supervisor.
+ * Child-side main: the framed `run v3`-over-pipe protocol. Before each
+ * run the child announces `start <k>\n` — the breadcrumb the supervisor
+ * uses to attribute a death — and after it writes a self-delimiting
+ * `<tag> <k> <len>\n<payload>` frame of classifyRun()'s outcome: an "ok"
+ * payload is the CRC'd `run v3` record, every other tag carries the
+ * failure message. Frames land on the pipe as runs complete, so
+ * everything finished before a crash is already with the supervisor.
+ * Never returns and never lets an exception escape — a throw out of here
+ * would unwind into the forked copy of the parent's stack.
  */
 [[noreturn]] void
 childBatchMain(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
@@ -217,13 +191,18 @@ childBatchMain(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
         std::snprintf(marker, sizeof(marker), "start %zu\n", k);
         writeAll(fd, marker);
 
-        auto [tag, payload] = runOneTagged([&] { return fn(k); });
+        const ChildOutcome co = classifyRun([&] { return fn(k); });
+        const std::string payload = co.kind == ChildOutcome::Kind::Result
+                                        ? serializeRun(0, co.result)
+                                        : co.message;
         char head[64];
-        std::snprintf(head, sizeof(head), "%s %zu %zu\n", tag.c_str(), k,
+        std::snprintf(head, sizeof(head), "%s %zu %zu\n", frameTag(co), k,
                       payload.size());
         writeAll(fd, head + payload);
     }
     ::close(fd);
+    // _exit, not exit: the child must not run the parent's atexit
+    // handlers or flush duplicated stdio buffers.
     ::_exit(0);
 }
 
@@ -238,8 +217,7 @@ struct Supervised
 
 /**
  * Drain the child's pipe until EOF, enforcing the wall-clock deadline
- * and the cancel flag with SIGKILL, then reap. Shared by the single-run
- * and batched supervisors.
+ * and the cancel flag with SIGKILL, then reap.
  */
 Supervised
 superviseChild(pid_t pid, int rfd, const ChildLimits &limits,
@@ -306,6 +284,29 @@ superviseChild(pid_t pid, int rfd, const ChildLimits &limits,
     }
     unregisterChild(pid);
     return sup;
+}
+
+/**
+ * The child died before framing every run: record how, and give each
+ * unreported run that death as its outcome — Cancelled when the
+ * supervisor killed the child on cancellation, else a classified Crash.
+ */
+void
+recordDeath(ChildBatchOutcome &out, bool cancelled, CrashKind crash,
+            std::string message)
+{
+    out.childDied = true;
+    out.cancelled = cancelled;
+    out.crash = crash;
+    out.crashMessage = std::move(message);
+    ChildOutcome death;
+    death.kind = cancelled ? ChildOutcome::Kind::Cancelled
+                           : ChildOutcome::Kind::Crash;
+    death.crash = crash;
+    death.message = out.crashMessage;
+    for (std::size_t k = 0; k < out.runs.size(); ++k)
+        if (!out.reported[k])
+            out.runs[k] = death;
 }
 
 } // namespace
@@ -405,54 +406,42 @@ describeChildDeath(int wait_status, bool supervisor_killed)
 }
 
 ChildOutcome
-runInChild(const std::function<SimResult()> &fn, const ChildLimits &limits)
+classifyRun(const std::function<SimResult()> &fn)
 {
     ChildOutcome out;
-
-    int fds[2];
-    if (::pipe(fds) != 0) {
-        out.kind = ChildOutcome::Kind::Error;
-        out.message = "pipe() failed for isolated child";
-        return out;
-    }
-
-    pid_t pid = ::fork();
-    if (pid < 0) {
-        ::close(fds[0]);
-        ::close(fds[1]);
-        out.kind = ChildOutcome::Kind::Error;
-        out.message = "fork() failed for isolated child";
-        return out;
-    }
-    if (pid == 0) {
-        ::close(fds[0]);
-        childMain(fn, limits, fds[1]); // never returns
-    }
-    ::close(fds[1]);
-    registerChild(pid);
-
-    Supervised sup =
-        superviseChild(pid, fds[0], limits, limits.hardTimeoutSeconds);
-
-    if (WIFEXITED(sup.status) && WEXITSTATUS(sup.status) == 0 &&
-        !sup.buf.empty()) {
-        auto nl = sup.buf.find('\n');
-        std::string tag = sup.buf.substr(0, nl);
-        std::string payload = nl == std::string::npos
-                                  ? std::string()
-                                  : sup.buf.substr(nl + 1);
-        return decodeTagged(tag, std::move(payload));
-    }
-
-    if (sup.cancelKilled) {
+    try {
+        out.result = fn();
+        out.kind = ChildOutcome::Kind::Result;
+    } catch (const CancelledError &e) {
         out.kind = ChildOutcome::Kind::Cancelled;
-        out.message = "child killed by supervisor: campaign cancelled";
-        return out;
+        out.message = e.what();
+    } catch (const LivelockError &e) {
+        out.kind = ChildOutcome::Kind::Livelock;
+        out.message = e.what();
+    } catch (const std::bad_alloc &) {
+        out.kind = ChildOutcome::Kind::Crash;
+        out.crash = CrashKind::Oom;
+        out.message = "allocation failed (std::bad_alloc): out of memory "
+                      "or past the memory cap";
+    } catch (const std::exception &e) {
+        out.kind = ChildOutcome::Kind::Error;
+        out.message = e.what();
+    } catch (const SimError &e) {
+        out.kind = ChildOutcome::Kind::Error;
+        out.message = e.message;
+    } catch (...) {
+        out.kind = ChildOutcome::Kind::Error;
+        out.message = "unknown exception (not a std::exception) from run";
     }
-    out.kind = ChildOutcome::Kind::Crash;
-    out.crash = classifyWaitStatus(sup.status, sup.supervisorKilled);
-    out.message = describeChildDeath(sup.status, sup.supervisorKilled);
     return out;
+}
+
+ChildOutcome
+runInChild(const std::function<SimResult()> &fn, const ChildLimits &limits)
+{
+    ChildBatchOutcome bo =
+        runBatchInChild(1, [&](std::size_t) { return fn(); }, limits);
+    return std::move(bo.runs[0]);
 }
 
 ChildBatchOutcome
@@ -467,18 +456,16 @@ runBatchInChild(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
 
     int fds[2];
     if (::pipe(fds) != 0) {
-        out.childDied = true;
-        out.crash = CrashKind::ExitCode;
-        out.crashMessage = "pipe() failed for isolated child";
+        recordDeath(out, false, CrashKind::ExitCode,
+                    "pipe() failed for isolated child");
         return out;
     }
     pid_t pid = ::fork();
     if (pid < 0) {
         ::close(fds[0]);
         ::close(fds[1]);
-        out.childDied = true;
-        out.crash = CrashKind::ExitCode;
-        out.crashMessage = "fork() failed for isolated child";
+        recordDeath(out, false, CrashKind::ExitCode,
+                    "fork() failed for isolated child");
         return out;
     }
     if (pid == 0) {
@@ -534,14 +521,13 @@ runBatchInChild(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
     if (out.allReported())
         return out; // clean batch; the child's exit status is moot
 
-    out.childDied = true;
-    if (sup.cancelKilled) {
-        out.cancelled = true;
-        out.crashMessage = "child killed by supervisor: campaign cancelled";
-        return out;
-    }
-    out.crash = classifyWaitStatus(sup.status, sup.supervisorKilled);
-    out.crashMessage = describeChildDeath(sup.status, sup.supervisorKilled);
+    if (sup.cancelKilled)
+        recordDeath(out, true, CrashKind::None,
+                    "child killed by supervisor: campaign cancelled");
+    else
+        recordDeath(out, false,
+                    classifyWaitStatus(sup.status, sup.supervisorKilled),
+                    describeChildDeath(sup.status, sup.supervisorKilled));
     return out;
 }
 

@@ -5,13 +5,14 @@
  * runTolerant()'s thread mode contains failures that surface as C++
  * exceptions, but a SIGSEGV, a runaway allocation the OOM killer
  * resolves, or a run that never polls the cancel flag still takes the
- * whole campaign down with it. Process mode closes that gap: each run
- * executes in a forked child with its own rlimits (CPU seconds, address
- * space, core dumps off) and a supervisor-enforced *hard* timeout —
- * SIGKILL works on a child that never checks anything. The supervisor
- * reaps every child and classifies its death into a small crash taxonomy
- * (CrashKind) that feeds the existing RunOutcome retry/quarantine
- * machinery (docs/ROBUSTNESS.md).
+ * whole campaign down with it. Process mode closes that gap: runs
+ * execute in forked children with their own rlimits (CPU seconds,
+ * address space, core dumps off) and a supervisor-enforced *hard*
+ * timeout — SIGKILL works on a child that never checks anything. The
+ * supervisor reaps every child and classifies its death into a small
+ * crash taxonomy (CrashKind) that feeds the RunOutcome retry/quarantine
+ * machinery (docs/ROBUSTNESS.md). Both modes classify what a run throws
+ * with the same catch ladder, classifyRun().
  *
  * Determinism: a healthy child computes exactly what the same run would
  * compute in-process (same code, same seed-derived RNG streams, no shared
@@ -40,7 +41,7 @@ namespace smtavf
 enum class IsolateMode
 {
     Thread, ///< in-process worker threads (exceptions contained, crashes not)
-    Process ///< forked child per run: rlimits, hard kill timeout, taxonomy
+    Process ///< forked sandboxed children: rlimits, hard kill, taxonomy
 };
 
 /** Canonical lower-case name ("thread", "process"). */
@@ -106,59 +107,69 @@ struct ChildLimits
     const std::atomic<bool> *cancel = nullptr;
 };
 
-/** Everything one isolated child execution can come back as. */
+/** Everything one run, in a child or in-process, can come back as. */
 struct ChildOutcome
 {
     enum class Kind
     {
         Result,    ///< clean SimResult, bit-exact via the wire format
-        Livelock,  ///< child reported LivelockError (deterministic)
-        Cancelled, ///< child unwound on the cancel flag, or the
-                   ///< supervisor killed it on cancellation
-        Error,     ///< child caught a structured failure and reported it
-        Crash      ///< child died; see crash for the taxonomy
+        Livelock,  ///< the run threw LivelockError (deterministic)
+        Cancelled, ///< the run unwound on the cancel flag, or the
+                   ///< supervisor killed its child on cancellation
+        Error,     ///< the run threw; message carries the failure
+        Crash      ///< the child died, or the run's allocation failed
+                   ///< (Oom); see crash for the taxonomy
     };
 
     Kind kind = Kind::Crash;
     SimResult result;             ///< valid when kind == Result
     std::string message;          ///< failure text (empty for Result)
-    CrashKind crash = CrashKind::None; ///< valid when kind == Crash
+    CrashKind crash = CrashKind::None; ///< None unless kind == Crash
 };
 
 /**
- * Run @p fn in a forked, sandboxed child and collect the outcome.
- *
- * The child disables core dumps, applies the rlimits, arranges to die
- * with its supervisor (PR_SET_PDEATHSIG), executes fn(), and writes a
- * tagged payload to a pipe: a successful SimResult travels as a
- * `run v3` journal record (hexfloat-exact + CRC), failures as their
- * message. The supervisor enforces the hard timeout with SIGKILL, reaps
- * the child, and classifies any non-protocol death via
- * classifyWaitStatus(). Exceptions never cross the process boundary —
- * every path returns a ChildOutcome.
+ * Run @p fn in this process behind the campaign's exception boundary and
+ * classify what escapes it: a SimResult is Result; CancelledError is
+ * Cancelled; LivelockError is Livelock; std::bad_alloc is a Crash of
+ * kind Oom; any other std::exception, a SimError (SMTAVF_FATAL under
+ * setLoggingThrows) or an unknown throw is an Error carrying its
+ * message. Never throws. Thread-mode campaigns call it directly, and a
+ * forked child (runBatchInChild) frames its outcome over the pipe, so
+ * both modes classify a failure identically.
+ */
+ChildOutcome classifyRun(const std::function<SimResult()> &fn);
+
+/**
+ * Run @p fn in a forked, sandboxed child and collect the outcome: a
+ * one-run runBatchInChild(). A death the child did not report becomes a
+ * Crash classified by classifyWaitStatus(), or Cancelled when the
+ * supervisor killed it on ChildLimits::cancel. Exceptions never cross
+ * the process boundary — every path returns a ChildOutcome.
  *
  * fn runs in the child process: state it mutates is invisible to the
  * parent, and anything it does fatally wrong (segfault, leak past the
- * cap, infinite loop) is contained. This is also the chaos-injection
- * seam: a test runFn that raises SIGSEGV on a designated index exercises
- * the real kill/reap/classify path (tests/test_isolate.cc).
+ * cap, infinite loop) is contained.
  */
 ChildOutcome runInChild(const std::function<SimResult()> &fn,
                         const ChildLimits &limits);
 
 /**
  * Outcome of one batched child execution (runBatchInChild). A batch
- * amortizes the fork/construction cost of process isolation over
- * several runs: the child executes fn(0..n-1) sequentially — reusing
- * one worker-local Simulator across shape-compatible runs — and frames
- * each run's result on the pipe as it completes, so every run finished
- * *before* a crash survives the crash.
+ * amortizes the fork cost of process isolation over several runs: the
+ * child executes fn(0..n-1) sequentially — each run building its own
+ * Simulator — and frames each run's result on the pipe as it completes,
+ * so every run finished *before* a crash survives the crash.
  */
 struct ChildBatchOutcome
 {
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-    /** Per-run outcomes; consult reported[k] before runs[k]. */
+    /**
+     * Per-run outcomes. A run whose frame never arrived (reported[k] is
+     * 0) holds the child's death: Cancelled when the supervisor killed
+     * the child on cancellation, else a Crash with @ref crash and
+     * @ref crashMessage.
+     */
     std::vector<ChildOutcome> runs;
     /** reported[k]: run k's frame arrived complete (CRC-checkable). */
     std::vector<char> reported;
@@ -192,16 +203,24 @@ struct ChildBatchOutcome
 /**
  * Run fn(0), ..., fn(n-1) sequentially in ONE forked, sandboxed child.
  *
- * Same sandbox as runInChild (core dumps off, rlimits, PR_SET_PDEATHSIG),
- * with the wall-clock and CPU budgets scaled by n — the supervisor
+ * The child disables core dumps, applies the rlimits, arranges to die
+ * with its supervisor (PR_SET_PDEATHSIG) and runs each fn(k) through
+ * classifyRun(). The wall-clock deadline scales with n — the supervisor
  * cannot see per-run boundaries precisely enough to re-arm a per-run
- * deadline, so the deadline is per batch. The wire protocol is framed:
- * the child writes `start <k>\n` before each run and
- * `<tag> <k> <len>\n<payload>` after it (tags as in runInChild; an "ok"
- * payload is the CRC'd `run v3` record, so results stay bit-exact). The
- * supervisor parses whatever frames arrived before EOF, attributes a
- * death to the started-but-unframed run, and leaves later runs
- * unreported so the caller can re-dispatch just the remainder.
+ * deadline, so the deadline is per batch; the caller scales
+ * ChildLimits::cpuSeconds likewise. This is the only child protocol, and
+ * it is framed: the child writes `start <k>\n` before each run and
+ * `<tag> <k> <len>\n<payload>` after it (an "ok" payload is the CRC'd
+ * `run v3` record, so results stay bit-exact; other tags — "livelock",
+ * "cancelled", "oom", "error" — carry the failure message). The
+ * supervisor enforces the deadline and the cancel flag with SIGKILL,
+ * parses whatever frames arrived before EOF, attributes a death to the
+ * started-but-unframed run, and leaves later runs unreported so the
+ * caller can re-dispatch just the remainder.
+ *
+ * This is also the chaos-injection seam: a campaign runFn that raises
+ * SIGSEGV on a designated index exercises the real kill/reap/classify
+ * path (tests/test_isolate.cc).
  */
 ChildBatchOutcome runBatchInChild(std::size_t n,
                                   const std::function<SimResult(std::size_t)>
@@ -209,10 +228,10 @@ ChildBatchOutcome runBatchInChild(std::size_t n,
                                   const ChildLimits &limits);
 
 /**
- * SIGKILL every child currently being supervised by runInChild() in this
- * process. Async-signal-safe; the CLI's hard-exit SIGINT handler calls
- * it so a second Ctrl-C never leaves orphaned simulation children
- * burning CPU.
+ * SIGKILL every child currently being supervised by runBatchInChild()
+ * in this process. Async-signal-safe; the CLI's hard-exit SIGINT
+ * handler calls it so a second Ctrl-C never leaves orphaned simulation
+ * children burning CPU.
  */
 void killLiveChildren();
 

@@ -687,6 +687,38 @@ TEST(Chaos, BackoffDelaysTheRetry)
 
 // --- the differential guarantees ----------------------------------------
 
+TEST(ProcessDifferential, FatalInChildKeepsItsMessage)
+{
+    // SMTAVF_FATAL throws SimError, which is no std::exception: a forked
+    // child must report its text exactly as thread mode does, one run
+    // per child or batched.
+    auto exps = fourMixCampaign();
+    auto fatal_run = [](const Experiment &e, std::size_t i) -> SimResult {
+        if (i == 1)
+            SMTAVF_FATAL("bad config seen by run");
+        return runExperiment(e);
+    };
+    CampaignOptions topt;
+    topt.runFn = fatal_run;
+    CampaignRunner pool(1);
+    auto treport = runTolerant(pool, exps, topt);
+    ASSERT_EQ(treport.outcomes[1].status, RunStatus::Quarantined);
+    ASSERT_NE(treport.outcomes[1].error.find("bad config seen by run"),
+              std::string::npos);
+    const std::string thread_csv = campaignCsv(exps, treport);
+
+    for (unsigned per_child : {1u, 4u}) {
+        SCOPED_TRACE(per_child);
+        CampaignOptions popt = processOpt();
+        popt.runsPerChild = per_child;
+        popt.runFn = fatal_run;
+        auto preport = runTolerant(pool, exps, popt);
+        EXPECT_EQ(preport.outcomes[1].error, treport.outcomes[1].error);
+        EXPECT_EQ(preport.outcomes[1].attempts, 2u);
+        EXPECT_EQ(campaignCsv(exps, preport), thread_csv);
+    }
+}
+
 TEST(ProcessDifferential, OneWorkerJournalIsByteIdenticalToThreadMode)
 {
     const std::string tj = "isolate_diff_thread.journal";
@@ -842,29 +874,54 @@ TEST(CancelPoll, CampaignClassifiesMidRunCancellationAsTimedOut)
 TEST(CancelPoll, SupervisorKillsChildOnCancellation)
 {
     // Process-mode cancellation: the child never polls anything; the
-    // supervisor's SIGKILL must end it promptly anyway.
-    std::atomic<bool> flag{false};
-    auto exps = fourMixCampaign();
-    exps.resize(1);
-    CampaignOptions opt = processOpt();
-    opt.cancel = &flag;
-    opt.runFn = [](const Experiment &, std::size_t) -> SimResult {
-        std::this_thread::sleep_for(std::chrono::seconds(300));
-        return {};
-    };
-    std::thread trigger([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(200));
-        flag.store(true);
-    });
-    CampaignRunner pool(1);
-    auto t0 = std::chrono::steady_clock::now();
-    auto report = runTolerant(pool, exps, opt);
-    std::chrono::duration<double> dt = std::chrono::steady_clock::now() - t0;
-    trigger.join();
-    EXPECT_LT(dt.count(), 30.0);
-    EXPECT_EQ(report.outcomes[0].status, RunStatus::TimedOut);
-    EXPECT_NE(report.outcomes[0].error.find("campaign cancelled"),
-              std::string::npos);
+    // supervisor's SIGKILL must end it promptly anyway. The killed run
+    // counts one attempt whether its child holds one run or a batch;
+    // the run no child started counts none.
+    const std::string marker = "isolate_cancel.marker";
+    for (unsigned per_child : {1u, 4u}) {
+        SCOPED_TRACE(per_child);
+        std::remove(marker.c_str());
+        std::atomic<bool> flag{false};
+        auto exps = fourMixCampaign();
+        exps.resize(2);
+        CampaignOptions opt = processOpt();
+        opt.runsPerChild = per_child;
+        opt.cancel = &flag;
+        opt.runFn = [&](const Experiment &, std::size_t) -> SimResult {
+            std::ofstream(marker) << "x"; // run 0 is in flight
+            std::this_thread::sleep_for(std::chrono::seconds(300));
+            return {};
+        };
+        std::thread trigger([&] {
+            auto t0 = std::chrono::steady_clock::now();
+            while (!fileExists(marker) &&
+                   std::chrono::steady_clock::now() - t0 <
+                       std::chrono::seconds(20))
+                std::this_thread::sleep_for(std::chrono::milliseconds(10));
+            flag.store(true);
+        });
+        CampaignRunner pool(1);
+        auto t0 = std::chrono::steady_clock::now();
+        auto report = runTolerant(pool, exps, opt);
+        std::chrono::duration<double> dt =
+            std::chrono::steady_clock::now() - t0;
+        trigger.join();
+        EXPECT_LT(dt.count(), 30.0);
+
+        const RunOutcome &killed = report.outcomes[0];
+        EXPECT_EQ(killed.status, RunStatus::TimedOut);
+        EXPECT_EQ(killed.attempts, 1u);
+        EXPECT_NE(killed.error.find("killed by supervisor: campaign "
+                                    "cancelled"),
+                  std::string::npos)
+            << killed.error;
+        const RunOutcome &unstarted = report.outcomes[1];
+        EXPECT_EQ(unstarted.status, RunStatus::TimedOut);
+        EXPECT_EQ(unstarted.attempts, 0u);
+        EXPECT_NE(unstarted.error.find("not started"), std::string::npos)
+            << unstarted.error;
+    }
+    std::remove(marker.c_str());
 }
 
 } // namespace

@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -362,6 +363,51 @@ TEST(Tolerant, FatalRedirectIsScopedToTheCampaign)
     EXPECT_NE(report.outcomes[0].error.find("config exploded"),
               std::string::npos);
     EXPECT_FALSE(loggingThrows());
+}
+
+TEST(Tolerant, BadAllocIsClassifiedOom)
+{
+    // Thread mode classifies an allocation failure as process mode does:
+    // an oom crash, quarantined when it repeats.
+    auto exps = fourMixCampaign();
+    exps.resize(2);
+    CampaignOptions opt;
+    opt.runFn = [](const Experiment &e, std::size_t i) -> SimResult {
+        if (i == 1)
+            throw std::bad_alloc();
+        return runExperiment(e);
+    };
+    CampaignRunner pool(1);
+    auto report = runTolerant(pool, exps, opt);
+    EXPECT_EQ(report.outcomes[0].status, RunStatus::Ok);
+    EXPECT_EQ(report.outcomes[0].crash, CrashKind::None);
+    const RunOutcome &o = report.outcomes[1];
+    EXPECT_EQ(o.status, RunStatus::Quarantined);
+    EXPECT_EQ(o.attempts, 2u);
+    EXPECT_EQ(o.crash, CrashKind::Oom);
+    EXPECT_NE(o.error.find("memory cap"), std::string::npos);
+}
+
+TEST(Tolerant, UnknownThrowIsARunFailure)
+{
+    // A throw of no known type fails its run instead of escaping the
+    // campaign, in thread mode as in a forked child.
+    auto exps = fourMixCampaign();
+    exps.resize(2);
+    CampaignOptions opt;
+    opt.runFn = [](const Experiment &e, std::size_t i) -> SimResult {
+        if (i == 0)
+            throw 42;
+        return runExperiment(e);
+    };
+    CampaignRunner pool(1);
+    CampaignReport report;
+    ASSERT_NO_THROW(report = runTolerant(pool, exps, opt));
+    EXPECT_EQ(report.outcomes[0].status, RunStatus::Quarantined);
+    EXPECT_EQ(report.outcomes[0].attempts, 2u);
+    EXPECT_NE(report.outcomes[0].error.find("unknown exception"),
+              std::string::npos);
+    EXPECT_EQ(report.outcomes[1].status, RunStatus::Ok);
 }
 
 TEST(Tolerant, CancelFlagStopsDispatchButKeepsFinishedWork)
