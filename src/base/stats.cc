@@ -5,26 +5,6 @@
 namespace smtavf
 {
 
-Histogram::Histogram(double max_value, unsigned buckets)
-    : maxValue_(max_value), counts_(buckets, 0)
-{
-    if (buckets == 0 || max_value <= 0.0)
-        SMTAVF_FATAL("histogram needs buckets > 0 and max > 0");
-}
-
-void
-Histogram::sample(double v)
-{
-    double clamped = v < 0.0 ? 0.0 : v;
-    auto idx = static_cast<std::size_t>(
-        clamped / maxValue_ * static_cast<double>(counts_.size()));
-    if (idx >= counts_.size())
-        idx = counts_.size() - 1;
-    ++counts_[idx];
-    ++samples_;
-    sum_ += v;
-}
-
 void
 StatGroup::set(const std::string &name, double value)
 {

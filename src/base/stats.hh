@@ -1,84 +1,18 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, averages and
- * histograms that components register with a StatGroup and that the
- * simulator dumps at end of run.
+ * Lightweight statistics package: a registry of named scalar stats that
+ * components deposit their final values in and that the simulator dumps
+ * at end of run.
  */
 
 #ifndef SMTAVF_BASE_STATS_HH
 #define SMTAVF_BASE_STATS_HH
 
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace smtavf
 {
-
-/** A named monotonically increasing scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &operator++() { ++value_; return *this; }
-    Counter &operator+=(std::uint64_t n) { value_ += n; return *this; }
-
-    std::uint64_t value() const { return value_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** Running mean of a sampled quantity. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    std::uint64_t count() const { return count_; }
-    double sum() const { return sum_; }
-
-    void
-    reset()
-    {
-        sum_ = 0.0;
-        count_ = 0;
-    }
-
-  private:
-    double sum_ = 0.0;
-    std::uint64_t count_ = 0;
-};
-
-/** Fixed-bucket histogram over [0, max) with uniform bucket width. */
-class Histogram
-{
-  public:
-    Histogram(double max_value, unsigned buckets);
-
-    /** Record one sample; values >= max land in the last bucket. */
-    void sample(double v);
-
-    unsigned buckets() const { return static_cast<unsigned>(counts_.size()); }
-    std::uint64_t bucketCount(unsigned i) const { return counts_.at(i); }
-    std::uint64_t samples() const { return samples_; }
-    double mean() const { return samples_ ? sum_ / samples_ : 0.0; }
-
-  private:
-    double maxValue_;
-    std::vector<std::uint64_t> counts_;
-    std::uint64_t samples_ = 0;
-    double sum_ = 0.0;
-};
 
 /**
  * Registry mapping dotted stat names to values; components deposit final

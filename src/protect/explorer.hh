@@ -159,7 +159,8 @@ struct BeamOptions
      * protection assignment (it is an accounting overlay that never
      * perturbs timing). The frontier is bit-identical to the unshared
      * path; only the simulated-instruction count drops (asserted by
-     * bench_ckpt_warmup). Ignored when warmup == 0 or runFn is set.
+     * SharedWarmupExplorer.BeamFrontierMatchesAndSavesEveryWarmup in
+     * tests/test_ckpt.cc). Ignored when warmup == 0 or runFn is set.
      */
     bool sharedWarmup = false;
     /** Test seam: replaces runExperiment() (see CampaignOptions::runFn). */

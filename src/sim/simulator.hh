@@ -38,8 +38,9 @@ namespace smtavf
 
 /**
  * Process-wide count of instructions actually simulated (committed),
- * summed over every Simulator in this process. Shared-warmup benchmarks
- * read and reset it to prove how much simulation a reused checkpoint
+ * summed over every Simulator in this process. The shared-warmup tests
+ * (SharedWarmupExplorer in tests/test_ckpt.cc) and perfbench's explore
+ * workload read it to prove how much simulation a reused checkpoint
  * saved; it feeds no simulation semantics.
  */
 std::atomic<std::uint64_t> &simulatedInstructionCounter();

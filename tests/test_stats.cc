@@ -13,80 +13,6 @@ namespace smtavf
 namespace
 {
 
-TEST(Counter, StartsAtZeroAndCounts)
-{
-    Counter c;
-    EXPECT_EQ(c.value(), 0u);
-    ++c;
-    c += 5;
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Average, EmptyMeanIsZero)
-{
-    Average a;
-    EXPECT_EQ(a.mean(), 0.0);
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(Average, MeanAndSum)
-{
-    Average a;
-    a.sample(1.0);
-    a.sample(2.0);
-    a.sample(6.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(a.sum(), 9.0);
-    EXPECT_EQ(a.count(), 3u);
-    a.reset();
-    EXPECT_EQ(a.count(), 0u);
-}
-
-TEST(HistogramTest, BucketsFill)
-{
-    Histogram h(10.0, 5); // buckets of width 2
-    h.sample(0.5);
-    h.sample(1.9);
-    h.sample(2.0);
-    h.sample(9.9);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-    EXPECT_EQ(h.samples(), 4u);
-}
-
-TEST(HistogramTest, OverflowLandsInLastBucket)
-{
-    Histogram h(10.0, 5);
-    h.sample(100.0);
-    h.sample(10.0);
-    EXPECT_EQ(h.bucketCount(4), 2u);
-}
-
-TEST(HistogramTest, NegativeClampsToFirstBucket)
-{
-    Histogram h(10.0, 5);
-    h.sample(-3.0);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-}
-
-TEST(HistogramTest, MeanTracksRawValues)
-{
-    Histogram h(10.0, 5);
-    h.sample(2.0);
-    h.sample(4.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 3.0);
-}
-
-TEST(HistogramTest, RejectsBadGeometry)
-{
-    ThrowGuard guard;
-    EXPECT_THROW(Histogram(0.0, 5), SimError);
-    EXPECT_THROW(Histogram(10.0, 0), SimError);
-}
-
 TEST(StatGroupTest, SetGetHas)
 {
     StatGroup g;

@@ -207,13 +207,6 @@ for preset in $presets; do
     fi
 
     if [ "$preset" = release ]; then
-        # Smoke-run the throughput benchmark so a perf-harness regression
-        # (link error, crashed fixture) is caught pre-merge. Full timed
-        # runs live in tools/bench.sh / the nightly CI job.
-        echo "==> [$preset] bench smoke"
-        "$build/bench/bench_micro_sim" --benchmark_min_time=0.05 \
-            --benchmark_filter='BM_SimulatedInstructions' >/dev/null
-
         # End-to-end flag validation: malformed protect invocations,
         # counts too large for their field (which used to wrap silently),
         # shard specs with trailing junk or a count past 32 bits, output
