@@ -14,7 +14,9 @@
  * so their residual columns pin its coverage arithmetic. Four last
  * records measure 12000 instructions after a 20000-instruction warmup,
  * so they pin the drain at the boundary; the last of them prints its
- * `--sample` windows too.
+ * `--sample` windows too. Five more pin per-instruction residency off
+ * the default path: the IQ, FU, ROB and LSQ under SECDED+scrub, the
+ * dead-code and wrong-path ablations, a partitioned IQ, and PRAT.
  *
  * Any change to a simulated statistic, a journal byte, a deadness
  * verdict or an interval boundary shows up here as a readable line
@@ -193,6 +195,38 @@ goldenText()
                 os << std::defaultfloat << "\n";
             }
         }
+    }
+
+    // Per-instruction residency off the default path: the pipeline
+    // structures under SECDED with a 64-cycle scrub, which prices each
+    // IQ, FU, ROB and LSQ interval on its own; the dead-code and
+    // wrong-path ablations; a statically partitioned IQ; and PRAT, whose
+    // fetch order reads the ledger's residuals while the run goes on.
+    {
+        ProtectionConfig pipeline_scrub;
+        for (HwStruct s : {HwStruct::IQ, HwStruct::ROB, HwStruct::LsqData,
+                           HwStruct::LsqTag, HwStruct::FU})
+            pipeline_scrub.assignScrub(s, 64);
+
+        auto scrubbed = makeExperiment(findMix("4ctx-mem-A"),
+                                       FetchPolicyKind::Flush, 12000);
+        scrubbed.cfg.protection = pipeline_scrub;
+        auto no_dead_code = makeExperiment(findMix("2ctx-mix-A"),
+                                           FetchPolicyKind::Icount, 10000);
+        no_dead_code.cfg.avf.deadCodeAnalysis = false;
+        auto no_wrong_path = makeExperiment(findMix("2ctx-mix-A"),
+                                            FetchPolicyKind::Icount, 10000);
+        no_wrong_path.cfg.avf.wrongPathModel = false;
+        auto partitioned = makeExperiment(findMix("4ctx-mix-A"),
+                                          FetchPolicyKind::Icount, 20000);
+        partitioned.cfg.iqPartitioned = true;
+        auto prat = makeExperiment(findMix("4ctx-mix-A"),
+                                   FetchPolicyKind::PRat, 20000);
+
+        for (const auto &e : {scrubbed, no_dead_code, no_wrong_path,
+                              partitioned, prat})
+            os << serializeRun(experimentFingerprint(e), runExperiment(e))
+               << "\n";
     }
     return os.str();
 }
