@@ -1,7 +1,5 @@
 #include "avf/dead_code.hh"
 
-#include <utility>
-
 #include "avf/injection.hh"
 #include "base/logging.hh"
 
@@ -15,19 +13,27 @@ DeadCodeAnalyzer::DeadCodeAnalyzer(unsigned num_threads, AvfLedger &ledger,
 }
 
 void
-DeadCodeAnalyzer::forward(ThreadId tid, SmallVec<PendingInterval, 6> &pending,
-                          bool ace)
+DeadCodeAnalyzer::forward(ThreadId tid, const Residency &r, bool ace)
 {
-    for (const auto &iv : pending)
-        ledger_.addInterval(iv.structure, tid, iv.bitCount, iv.start, iv.end,
-                            ace);
-    pending.clear();
+    ledger_.addInterval(HwStruct::IQ, tid, bits::iqEntry, r.dispatch,
+                        r.iqEnd, ace);
+    if (r.fuEnd != r.iqEnd)
+        ledger_.addInterval(HwStruct::FU, tid, bits::fuLatch, r.iqEnd,
+                            r.fuEnd, ace);
+    ledger_.addInterval(HwStruct::ROB, tid, bits::robEntry, r.dispatch,
+                        r.close, ace);
+    if (r.mem) {
+        ledger_.addInterval(HwStruct::LsqTag, tid, bits::lsqTag, r.dispatch,
+                            r.close, ace);
+        ledger_.addInterval(HwStruct::LsqData, tid, bits::lsqData,
+                            r.lsqDataStart, r.close, ace);
+    }
 }
 
 void
-DeadCodeAnalyzer::resolveLive(DynInstr &in)
+DeadCodeAnalyzer::resolveLive(const DynInstr &in, const Residency &r)
 {
-    forward(in.tid, in.pending, !in.neverAce());
+    forward(in.tid, r, !in.neverAce());
     if (in.writesReg() && !in.neverAce())
         ++resolvedCount_;
 }
@@ -35,7 +41,7 @@ DeadCodeAnalyzer::resolveLive(DynInstr &in)
 void
 DeadCodeAnalyzer::resolve(Producer &p, bool dead)
 {
-    forward(p.tid, p.pending, !dead && p.ace);
+    forward(p.tid, p.residency, !dead && p.ace);
     if (p.ace) {
         ++resolvedCount_;
         if (dead)
@@ -47,7 +53,7 @@ DeadCodeAnalyzer::resolve(Producer &p, bool dead)
 }
 
 bool
-DeadCodeAnalyzer::onCommit(DynInstr &in)
+DeadCodeAnalyzer::onCommit(const DynInstr &in, const Residency &r)
 {
     auto &slots = pending_.at(in.tid);
     std::size_t trace_idx = trace_ ? trace_->append(in) : noRecord;
@@ -61,7 +67,7 @@ DeadCodeAnalyzer::onCommit(DynInstr &in)
     }
 
     if (!in.writesReg() || !enabled_) {
-        resolveLive(in);
+        resolveLive(in, r);
         return false;
     }
 
@@ -69,7 +75,7 @@ DeadCodeAnalyzer::onCommit(DynInstr &in)
     bool exposed_dead = prev.parked;
     if (exposed_dead)
         resolve(prev, true);
-    prev.pending = std::move(in.pending);
+    prev.residency = r;
     prev.traceIdx = trace_idx;
     prev.tid = in.tid;
     prev.ace = !in.neverAce();
@@ -78,11 +84,11 @@ DeadCodeAnalyzer::onCommit(DynInstr &in)
 }
 
 void
-DeadCodeAnalyzer::onSquash(DynInstr &in)
+DeadCodeAnalyzer::onSquash(const DynInstr &in, const Residency &r)
 {
     if (!in.squashed && !in.wrongPath)
         SMTAVF_PANIC("onSquash() for a non-squashed instruction");
-    resolveLive(in); // neverAce() forces the intervals un-ACE
+    resolveLive(in, r); // neverAce() forces the intervals un-ACE
 }
 
 void

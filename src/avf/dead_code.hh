@@ -6,10 +6,11 @@
  * register is overwritten before any later instruction reads it: a soft
  * error in any of its pipeline residency is architecturally masked, so its
  * bits are un-ACE everywhere (Mukherjee et al.). Deadness is only knowable
- * at the *next writer's* commit, so a committed writer's closed residency
- * intervals (DynInstr::pending) park here in a Producer record until
- * resolution; the analyzer then classifies them and forwards the
- * bit-cycles to the ledger (and the verdict to the commit trace).
+ * at the *next writer's* commit, so a committed writer's Residency (the
+ * five cycles that bound its IQ, FU, ROB and LSQ intervals) parks here in
+ * a Producer record until resolution; the analyzer then classifies it and
+ * forwards the bit-cycles to the ledger (and the verdict to the commit
+ * trace).
  *
  * Committed readers, not speculative ones, decide liveness: a consumer
  * that was squashed never architecturally read the value.
@@ -32,6 +33,31 @@ namespace smtavf
 
 class CommitTrace;
 
+/**
+ * Where one instruction's bits sat in the pipeline, fixed when it leaves
+ * it (commit, squash or the end of a run). Each interval below is
+ * [start, end) in cycles:
+ *
+ * - IQ entry:  [dispatch, iqEnd)
+ * - FU latch:  [iqEnd, fuEnd), empty when it held none
+ * - ROB entry: [dispatch, close)
+ * - LSQ tag:   [dispatch, close), memory ops only
+ * - LSQ data:  [lsqDataStart, close), memory ops only
+ *
+ * The core derives it from the instruction's own cycles (residencyAt(),
+ * core/smt_core.hh); DeadCodeAnalyzer::forward() turns it into ledger
+ * intervals in the order above.
+ */
+struct Residency
+{
+    Cycle dispatch = 0;
+    Cycle iqEnd = 0;        ///< issue, or the close for an op still queued
+    Cycle fuEnd = 0;        ///< == iqEnd when no FU latch was held
+    Cycle lsqDataStart = 0; ///< when the LSQ data entry became live
+    Cycle close = 0;        ///< commit, squash or end-of-run cycle
+    bool mem = false;       ///< holds an LSQ entry
+};
+
 /** Tracks pending producers per (thread, architectural register). */
 class DeadCodeAnalyzer
 {
@@ -46,28 +72,30 @@ class DeadCodeAnalyzer
     DeadCodeAnalyzer(unsigned num_threads, AvfLedger &ledger, bool enabled);
 
     /**
-     * Process one committing instruction: its register reads make pending
-     * producers live; its register write (if any) resolves — and reports —
-     * the previous unread producer of the same register as dead, then
-     * parks this instruction as the new pending producer.
+     * Process one committing instruction with residency @p r: its
+     * register reads make pending producers live; its register write (if
+     * any) resolves — and reports — the previous unread producer of the
+     * same register as dead, then parks this instruction as the new
+     * pending producer.
      *
      * @return true if this commit exposed a dead previous producer of the
      *         destination register (callers use this to classify the
      *         freed physical register's value interval).
      */
-    bool onCommit(DynInstr &in);
+    bool onCommit(const DynInstr &in, const Residency &r);
 
     /**
-     * Resolve and forward the intervals of a squashed or wrong-path
-     * instruction (always un-ACE; no deadness involved).
+     * Forward the intervals of a squashed or wrong-path instruction
+     * (always un-ACE; no deadness involved).
      */
-    void onSquash(DynInstr &in);
+    void onSquash(const DynInstr &in, const Residency &r);
 
     /**
-     * Resolve a still-in-flight instruction at end of run (conservatively
-     * live; wrong-path instructions stay un-ACE via neverAce()).
+     * Forward the intervals of an instruction still in flight at the end
+     * of a run (conservatively live; wrong-path instructions stay un-ACE
+     * via neverAce()).
      */
-    void resolveLive(DynInstr &in);
+    void resolveLive(const DynInstr &in, const Residency &r);
 
     /** Append commits to @p trace, with FDD verdicts (nullptr: off). */
     void recordCommits(CommitTrace *trace) { trace_ = trace; }
@@ -106,16 +134,15 @@ class DeadCodeAnalyzer
     /** A committed, still-unread register writer. */
     struct Producer
     {
-        SmallVec<PendingInterval, 6> pending;
+        Residency residency;
         std::size_t traceIdx = 0; ///< its CommitTrace record, or noRecord
         ThreadId tid = invalidThread;
         bool ace = false;         ///< ACE-eligible (not neverAce())
         bool parked = false;      ///< this table entry is occupied
     };
 
-    /** Forward @p pending to the ledger and empty it. */
-    void forward(ThreadId tid, SmallVec<PendingInterval, 6> &pending,
-                 bool ace);
+    /** Add @p r's intervals of thread @p tid to the ledger. */
+    void forward(ThreadId tid, const Residency &r, bool ace);
 
     void resolve(Producer &p, bool dead);
 

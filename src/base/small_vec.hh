@@ -2,9 +2,9 @@
  * @file
  * SmallVec: a vector with inline storage for its first N elements.
  *
- * The simulator's hot structures attach short, bounded lists to records
- * that are created and recycled millions of times per run (the
- * per-instruction pending-interval list, MSHR merge lists). A
+ * The memory hierarchy attaches a short, bounded list to each MSHR entry
+ * (the accesses merged into one outstanding miss), and entries are
+ * created and recycled millions of times per run. A
  * std::vector pays one heap allocation per non-empty list; SmallVec keeps
  * the common case entirely inside the owning object and only touches the
  * heap when a list outgrows its inline capacity — which the callers size

@@ -16,6 +16,7 @@
 #define SMTAVF_CORE_INSTR_SLOTS_HH
 
 #include <cstdint>
+#include <new>
 
 #include "base/arena.hh"
 #include "base/logging.hh"
@@ -34,18 +35,21 @@ class InstrSlots
     InstrSlots(const InstrSlots &) = delete;
     InstrSlots &operator=(const InstrSlots &) = delete;
 
-    /** A free slot holding a copy of @p proto; panics past capacity. */
+    /**
+     * A free slot holding a fresh instruction built from the stream
+     * record @p proto; panics past capacity.
+     */
+    DynInstr *
+    acquire(const StreamInstr &proto)
+    {
+        return ::new (take()) DynInstr(proto);
+    }
+
+    /** A free slot holding a copy of @p proto (a wrong-path filler). */
     DynInstr *
     acquire(const DynInstr &proto)
     {
-        DynInstr *in = free_;
-        if (!in)
-            SMTAVF_PANIC("more than ", slots_.size(),
-                         " instructions in flight (slot bound violated)");
-        free_ = in->completionNext;
-        *in = proto;
-        ++live_;
-        return in;
+        return ::new (take()) DynInstr(proto);
     }
 
     /** Give back the slot of a committed, squashed or dropped fetch. */
@@ -86,6 +90,19 @@ class InstrSlots
     }
 
   private:
+    /** Pop the free list's head; its record is overwritten whole. */
+    DynInstr *
+    take()
+    {
+        DynInstr *in = free_;
+        if (!in)
+            SMTAVF_PANIC("more than ", slots_.size(),
+                         " instructions in flight (slot bound violated)");
+        free_ = in->completionNext;
+        ++live_;
+        return in;
+    }
+
     AVec<DynInstr> slots_;
     DynInstr *free_ = nullptr;
     std::size_t live_ = 0;

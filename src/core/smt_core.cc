@@ -8,6 +8,25 @@
 namespace smtavf
 {
 
+Residency
+residencyAt(const DynInstr &in, Cycle close, bool committed)
+{
+    Residency r;
+    r.dispatch = in.dispatchCycle;
+    r.iqEnd = in.issued ? in.issueCycle : close;
+    r.fuEnd = r.iqEnd;
+    if (in.issued && fuTypeFor(in.op) != FuType::None)
+        r.fuEnd = in.issueCycle + (in.isMem() ? 1 : execLatency(in.op));
+    r.lsqDataStart = in.dispatchCycle;
+    if (committed && in.op == OpClass::Load)
+        r.lsqDataStart = in.completeCycle;
+    else if (committed && in.op == OpClass::Store)
+        r.lsqDataStart = in.issueCycle;
+    r.close = close;
+    r.mem = in.isMem();
+    return r;
+}
+
 SmtCore::ThreadContext::ThreadContext(const MachineConfig &cfg,
                                       StreamGenerator *g)
     : gen(g), rob(cfg.robSize), lsq(cfg.lsqSize), predictor(cfg.branch)
@@ -348,16 +367,14 @@ SmtCore::commitStage()
             th.rob.popFront();
             if (head->isMem())
                 th.lsq.popCommitted(head);
-            closeResidency(head, head->op == OpClass::Load
-                                     ? head->completeCycle
-                                     : head->issueCycle);
             if (head->op == OpClass::Store)
                 hier_.storeCommit(tid, head->memAddr, head->memSize, now_);
 
             regfile_.noteRead(head->srcPhys1, head->issueCycle);
             regfile_.noteRead(head->srcPhys2, head->issueCycle);
 
-            bool exposed_dead = analyzer_.onCommit(*head);
+            bool exposed_dead =
+                analyzer_.onCommit(*head, residencyAt(*head, now_, true));
             if (head->oldDestPhys != invalidReg)
                 regfile_.release(head->oldDestPhys, now_, exposed_dead);
 
@@ -396,8 +413,6 @@ SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
     --th.iqCount; // the select stage compacts the IQ after its loop
     if (in->wrongPath)
         --th.wrongPathFrontIq;
-    in->pending.push_back({HwStruct::IQ, bits::iqEntry, in->dispatchCycle,
-                           now_});
 
     std::uint32_t lat = execLatency(in->op);
     Cycle done;
@@ -425,11 +440,6 @@ SmtCore::tryIssue(DynInstr *in, unsigned &mem_ports_used)
         done = now_ + lat + penalty;
     } else {
         done = now_ + lat;
-    }
-
-    if (type != FuType::None) {
-        Cycle fu_end = in->isMem() ? now_ + 1 : now_ + lat;
-        in->pending.push_back({HwStruct::FU, bits::fuLatch, now_, fu_end});
     }
 
     scheduleCompletion(in, done);
@@ -622,7 +632,6 @@ SmtCore::flushAfter(ThreadId tid, SeqNum seq)
             th.rename.set(in->destReg, in->oldDestPhys);
             regfile_.releaseSquashed(in->destPhys, now_);
         }
-        closeResidency(in, in->dispatchCycle);
         if (in->inIq) {
             iq_.remove(in);
             --th.iqCount;
@@ -637,29 +646,13 @@ SmtCore::flushAfter(ThreadId tid, SeqNum seq)
             }
             policy_->onLoadDone(*in, in->dl1Miss, in->l2Miss);
         }
-        analyzer_.onSquash(*in);
+        analyzer_.onSquash(*in, residencyAt(*in, now_, false));
         if (in->issued && !in->completed)
             unschedule(in);
         slots_.release(in);
     });
 
     recomputeFetchState(th);
-}
-
-void
-SmtCore::closeResidency(DynInstr *in, Cycle lsq_data_start)
-{
-    if (in->inIq)
-        in->pending.push_back({HwStruct::IQ, bits::iqEntry,
-                               in->dispatchCycle, now_});
-    in->pending.push_back({HwStruct::ROB, bits::robEntry, in->dispatchCycle,
-                           now_});
-    if (in->isMem()) {
-        in->pending.push_back({HwStruct::LsqTag, bits::lsqTag,
-                               in->dispatchCycle, now_});
-        in->pending.push_back({HwStruct::LsqData, bits::lsqData,
-                               lsq_data_start, now_});
-    }
 }
 
 void
@@ -716,10 +709,8 @@ SmtCore::finalizeAvf()
     // Close the residency of still-in-flight instructions, then resolve
     // every deferred classification conservatively live.
     for (auto &thp : threads_) {
-        for (DynInstr *in : thp->rob) {
-            closeResidency(in, in->dispatchCycle);
-            analyzer_.resolveLive(*in);
-        }
+        for (const DynInstr *in : thp->rob)
+            analyzer_.resolveLive(*in, residencyAt(*in, now_, false));
     }
     analyzer_.finish();
     regfile_.finalizeAll(now_);

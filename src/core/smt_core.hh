@@ -12,11 +12,13 @@
  * stages are evaluated back-to-front each cycle so same-cycle structural
  * hazards resolve naturally.
  *
- * AVF accounting: every stage closes bit-residency intervals on the
- * instructions flowing through it (DynInstr::pending); classification is
- * deferred to the DeadCodeAnalyzer, while the cache/TLB observers write to
- * the ledger directly. Instructions live in a fixed slot array
- * (core/instr_slots.hh); every queue holds plain pointers into it.
+ * AVF accounting: when an instruction commits, squashes or is still in
+ * flight at the end of a run, residencyAt() reads its IQ, FU, ROB and LSQ
+ * residency off the cycles the stages stamped on it, and the
+ * DeadCodeAnalyzer classifies and forwards those intervals, while the
+ * cache/TLB observers write to the ledger directly. Instructions live in
+ * a fixed slot array (core/instr_slots.hh); every queue holds plain
+ * pointers into it.
  */
 
 #ifndef SMTAVF_CORE_SMT_CORE_HH
@@ -45,6 +47,17 @@
 
 namespace smtavf
 {
+
+/**
+ * The residency of @p in as it leaves the pipeline at cycle @p close:
+ * committed (@p committed), squashed, or still in flight at the end of a
+ * run. Its IQ entry ends at issue, or at @p close for an op still
+ * queued; its FU latch runs from issue for one cycle (memory ops) or the
+ * op's execution latency, and is empty for a Nop or an unissued op; its
+ * LSQ data entry opens at completion for a committed load, at issue for
+ * a committed store, and at dispatch otherwise.
+ */
+Residency residencyAt(const DynInstr &in, Cycle close, bool committed);
 
 /** The SMT pipeline. */
 class SmtCore final : public PolicyContext
@@ -349,12 +362,6 @@ class SmtCore final : public PolicyContext
 
     /** Complete one instruction at the current cycle. */
     void complete(DynInstr *in);
-
-    /**
-     * Close @p in's IQ (if still queued), ROB and LSQ residency at now_;
-     * its LSQ data entry has been live since @p lsq_data_start.
-     */
-    void closeResidency(DynInstr *in, Cycle lsq_data_start);
 
     /** Recompute wrong-path mode and the fetch cursor after a squash. */
     void recomputeFetchState(ThreadContext &th);

@@ -1,11 +1,12 @@
 /**
  * @file
- * The synthetic RISC ISA: operation classes, register-name helpers and the
+ * The synthetic RISC ISA: operation classes, register-name helpers, the
+ * stream record (StreamInstr) the workload generator emits and the
  * dynamic instruction record (DynInstr) that flows through the pipeline.
  *
- * The workload generator emits DynInstr records with genuine register
- * dataflow, memory addresses and branch outcomes; the core model adds
- * renaming, timing and AVF bookkeeping in place.
+ * The workload generator emits StreamInstr records with genuine register
+ * dataflow, memory addresses and branch outcomes; the core builds a
+ * DynInstr from each and adds renaming and timing in place.
  */
 
 #ifndef SMTAVF_ISA_INSTR_HH
@@ -14,7 +15,6 @@
 #include <cstdint>
 
 #include "avf/structures.hh"
-#include "base/small_vec.hh"
 #include "base/types.hh"
 
 namespace smtavf
@@ -80,47 +80,70 @@ isZeroReg(RegIndex arch_reg)
 }
 
 /**
- * One closed residency interval of this instruction's bits in a hardware
- * structure, awaiting final ACE/un-ACE classification (deferred until the
- * producing instruction's dynamic deadness is known).
+ * The part of an instruction the workload generator decides: identity,
+ * operands, memory access and branch outcome. The generator buffers
+ * these records, exactly the fields a checkpoint carries for a buffered
+ * instruction (StreamGenerator::serializeTemplate), and the core builds
+ * each in-flight DynInstr from one (InstrSlots::acquire).
  */
-struct PendingInterval
+struct StreamInstr
 {
-    HwStruct structure;
-    std::uint32_t bitCount;
-    Cycle start;
-    Cycle end;
+    /** Index in the correct-path stream; meaningless when wrongPath. */
+    std::uint64_t streamIdx = 0;
+    Addr pc = 0;
+    Addr memAddr = 0;
+    Addr branchTarget = 0;        ///< actual target
+    RegIndex destReg = invalidReg;
+    RegIndex srcReg1 = invalidReg;
+    RegIndex srcReg2 = invalidReg;
+    ThreadId tid = invalidThread;
+    OpClass op = OpClass::Nop;
+    std::uint8_t memSize = 0;
+    bool branchTaken = false;     ///< actual outcome
+
+    /** True for instructions that write a non-zero architectural register. */
+    bool
+    writesReg() const
+    {
+        return destReg != invalidReg && !isZeroReg(destReg);
+    }
+
+    /** True if this is a conditional or unconditional control transfer. */
+    bool isBranch() const { return isControl(op); }
+
+    /** True if this is a load or store. */
+    bool isMem() const { return isMemRef(op); }
 };
 
+static_assert(sizeof(StreamInstr) <= 56,
+              "the generator buffers one StreamInstr per uncommitted "
+              "stream instruction");
+
 /**
- * A dynamic instruction. Plain aggregate by design: it is the working
- * record of the whole pipeline and every stage annotates it in place.
+ * A dynamic instruction in flight: the generator's StreamInstr plus the
+ * state every pipeline stage annotates in place. Where its bits sat in
+ * each structure is not kept here; the core derives it from the cycles
+ * below when the instruction commits, squashes or outlives the run
+ * (residencyAt(), core/smt_core.hh).
  */
-struct DynInstr
+struct DynInstr : StreamInstr
 {
+    DynInstr() = default;
+
+    /**
+     * A fresh instruction carrying @p s, every pipeline field at its
+     * default. Implicit, so a stream record converts where a DynInstr
+     * is wanted.
+     */
+    DynInstr(const StreamInstr &s) : StreamInstr(s) {}
+
     // --- identity -------------------------------------------------------
-    ThreadId tid = invalidThread;
     /** Per-thread fetch order; monotonic across wrong-path fetches too. */
     SeqNum seq = 0;
     /** Global dispatch order (age for issue selection across threads). */
     SeqNum globalSeq = 0;
-    /** Index in the correct-path stream; meaningless when wrongPath. */
-    std::uint64_t streamIdx = 0;
-    Addr pc = 0;
-    OpClass op = OpClass::Nop;
-
-    // --- architectural operands -----------------------------------------
-    RegIndex destReg = invalidReg;
-    RegIndex srcReg1 = invalidReg;
-    RegIndex srcReg2 = invalidReg;
-
-    // --- memory behaviour -------------------------------------------------
-    Addr memAddr = 0;
-    std::uint8_t memSize = 0;
 
     // --- control behaviour ------------------------------------------------
-    bool branchTaken = false;     ///< actual outcome
-    Addr branchTarget = 0;        ///< actual target
     bool predTaken = false;       ///< predictor's direction guess
     bool mispredicted = false;    ///< set at fetch when prediction != actual
     std::uint32_t predHistory = 0; ///< gshare history the guess was made under
@@ -156,33 +179,12 @@ struct DynInstr
     bool predictedMiss = false;
 
     /**
-     * Residency intervals awaiting dead-code resolution. An instruction
-     * accrues at most five intervals (IQ and FU at issue; ROB, LSQ tag and
-     * LSQ data at commit or squash), so the inline capacity of six keeps
-     * the list inside the record and off the heap.
-     */
-    SmallVec<PendingInterval, 6> pending;
-
-    /**
      * Intrusive link owned by the core: the next instruction scheduled to
      * finish in the same cycle while this one waits on the completion
      * wheel, the next free slot while this slot is free
      * (core/instr_slots.hh), null otherwise.
      */
     DynInstr *completionNext = nullptr;
-
-    /** True for instructions that write a non-zero architectural register. */
-    bool
-    writesReg() const
-    {
-        return destReg != invalidReg && !isZeroReg(destReg);
-    }
-
-    /** True if this is a conditional or unconditional control transfer. */
-    bool isBranch() const { return isControl(op); }
-
-    /** True if this is a load or store. */
-    bool isMem() const { return isMemRef(op); }
 
     /** True if this instruction never contributes ACE bits. */
     bool
@@ -191,6 +193,10 @@ struct DynInstr
         return wrongPath || squashed || op == OpClass::Nop;
     }
 };
+
+static_assert(sizeof(DynInstr) <= 160,
+              "a core holds contexts x (fetchQueueSize + robSize) DynInstr "
+              "slots");
 
 } // namespace smtavf
 

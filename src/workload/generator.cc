@@ -121,7 +121,7 @@ StreamGenerator::prewarmHints() const
     return h;
 }
 
-const DynInstr &
+const StreamInstr &
 StreamGenerator::at(std::uint64_t idx)
 {
     if (idx < base_)
@@ -245,10 +245,10 @@ StreamGenerator::genDataAddress(std::uint8_t size)
     return addr & ~static_cast<Addr>(size - 1);
 }
 
-DynInstr
+StreamInstr
 StreamGenerator::generateOne()
 {
-    DynInstr in;
+    StreamInstr in;
     in.tid = tid_;
     in.streamIdx = base_ + buffer_.size();
     in.op = pickOpClass();

@@ -4,7 +4,8 @@
  * instruction stream with real register dataflow, memory addresses and
  * branch outcomes.
  *
- * The generator keeps a buffer of generated-but-uncommitted instructions so
+ * The generator keeps a buffer of generated-but-uncommitted StreamInstr
+ * records (identity, operands, address and outcome; no pipeline state) so
  * the core can *rewind* fetch (branch-mispredict recovery and the FLUSH
  * fetch policy both squash and later refetch the same instructions). It
  * also synthesizes wrong-path filler instructions that the core fetches
@@ -48,10 +49,10 @@ class StreamGenerator
 
     /**
      * Correct-path instruction at stream index @p idx (0-based program
-     * order). Generates on demand; the record is a template whose pipeline
-     * fields the core initializes on fetch.
+     * order). Generates on demand; the core builds the in-flight DynInstr
+     * from it on fetch.
      */
-    const DynInstr &at(std::uint64_t idx);
+    const StreamInstr &at(std::uint64_t idx);
 
     /** Drop buffered instructions below @p idx (they committed). */
     void retireBelow(std::uint64_t idx);
@@ -101,8 +102,8 @@ class StreamGenerator
      * then overwriting this state on top. The buffered uncommitted window
      * CAN be non-empty at a drained boundary (instructions fetched,
      * squashed and not yet refetched stay buffered — the RNG has already
-     * advanced past them, so they are not regenerable) and travels as the
-     * template fields generateOne()/makeWrongPath() fill in.
+     * advanced past them, so they are not regenerable) and travels as its
+     * StreamInstr records, field by field.
      */
     template <class Ar>
     void
@@ -116,7 +117,7 @@ class StreamGenerator
         if constexpr (Ar::loading) {
             buffer_.clear();
             for (std::uint64_t i = 0; i < n; ++i) {
-                DynInstr in;
+                StreamInstr in;
                 serializeTemplate(ar, in);
                 buffer_.push_back(in);
             }
@@ -175,14 +176,13 @@ class StreamGenerator
     };
 
     /**
-     * The subset of DynInstr that generateOne()/makeWrongPath() fill in —
-     * a buffered entry is a pristine template (the core copies it into the
-     * instruction pool at fetch), so the pipeline/rename fields are all
-     * still defaults and never travel.
+     * Every field of a buffered StreamInstr. The core builds a fresh
+     * DynInstr from it at fetch, so no pipeline or rename field is
+     * buffered, and none travels.
      */
     template <class Ar>
     static void
-    serializeTemplate(Ar &ar, DynInstr &in)
+    serializeTemplate(Ar &ar, StreamInstr &in)
     {
         ar(in.tid);
         ar(in.streamIdx);
@@ -197,7 +197,7 @@ class StreamGenerator
         ar(in.branchTarget);
     }
 
-    DynInstr generateOne();
+    StreamInstr generateOne();
     OpClass pickOpClass();
     RegIndex pickSrc(bool fp);
     RegIndex pickDest(bool fp);
@@ -211,7 +211,7 @@ class StreamGenerator
     Rng wrongRng_;
 
     /** Uncommitted window; ring reuse keeps generation allocation-free. */
-    RingBuffer<DynInstr> buffer_;
+    RingBuffer<StreamInstr> buffer_;
     std::uint64_t base_ = 0; ///< stream index of buffer_.front()
 
     // cumulative op-class distribution, aligned with opOrder_
