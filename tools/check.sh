@@ -106,7 +106,10 @@ for preset in $presets; do
         trap - EXIT
     elif [ "$preset" = ckpt ]; then
         # Checkpoint/restore surface: the serializer/envelope/differential
-        # unit suites, then an end-to-end smoke against the installed
+        # unit suites (the payload-byte golden among them: every payload
+        # carries the generators' buffered stream records), the shared
+        # warmup of campaigns and the explorer, then an end-to-end smoke
+        # against the installed
         # binary — capture mid-run, SIGKILL a second in-flight copy after
         # its capture lands, restore from the orphaned file, and require
         # the restored run's report to carry exactly the bytes of the run
@@ -115,7 +118,7 @@ for preset in $presets; do
         # boundary, not to an uninterrupted run). Damage rejection must
         # exit with the dedicated checkpoint code 4.
         (cd "$build" && ctest --output-on-failure -j "$jobs" -R \
-            'Serializer|CheckpointEnvelope|CheckpointRestore|CkptDifferential|ReportRestore|AvfIntervalSeries|SharedWarmupCampaign')
+            'Serializer|CheckpointEnvelope|CheckpointRestore|CheckpointGolden|CkptDifferential|ReportRestore|AvfIntervalSeries|SharedWarmupCampaign|SharedWarmupExplorer')
 
         echo "==> [$preset] checkpoint kill/restore smoke"
         cli="$build/tools/smtavf_cli"
