@@ -325,25 +325,8 @@ completeAt(DynInstr &in, Cycle cycle)
     in.completeCycle = cycle;
 }
 
-/** Bit-cycles per pipeline structure, as forward() hands them over. */
-struct Tallies
-{
-    std::uint64_t iq, fu, rob, lsqTag, lsqData;
-
-    bool
-    operator==(const Tallies &o) const
-    {
-        return iq == o.iq && fu == o.fu && rob == o.rob &&
-               lsqTag == o.lsqTag && lsqData == o.lsqData;
-    }
-};
-
-std::ostream &
-operator<<(std::ostream &os, const Tallies &t)
-{
-    return os << "{iq " << t.iq << " fu " << t.fu << " rob " << t.rob
-              << " lsqTag " << t.lsqTag << " lsqData " << t.lsqData << "}";
-}
+/** Bit-cycles of the IQ, FU, ROB, LSQ tag and LSQ data, in that order. */
+using Tallies = std::array<std::uint64_t, 5>;
 
 /** What the analyzer hands the ledger for @p r, ACE or not. */
 Tallies
