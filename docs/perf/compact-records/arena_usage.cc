@@ -10,7 +10,7 @@
  * used.
  *
  * The arena does not expose its slabs, so this runs against an
- * instrumented copy of src/ in a scratch directory, never the
+ * instrumented copy of src/ outside the repository, never the
  * repository's own. Add to Arena's public section (base/arena.hh):
  *
  *     void usage(std::size_t &slabs, std::size_t &mapped,
