@@ -66,20 +66,6 @@ runType(unsigned contexts, MixType type, FetchPolicyKind policy,
 }
 
 /**
- * Campaign variant of runType(): the same mixes fanned out over @p pool.
- * Bit-identical to the serial helper for any worker count.
- */
-inline TypeResult
-runType(CampaignRunner &pool, unsigned contexts, MixType type,
-        FetchPolicyKind policy, std::uint64_t budget = 0)
-{
-    std::vector<Experiment> exps;
-    for (const auto &mix : mixesOf(contexts, type))
-        exps.push_back(makeExperiment(mix, policy, budget));
-    return averageRuns(pool.run(exps));
-}
-
-/**
  * A figure's worth of (contexts, type, policy) cells flattened into one
  * campaign so the pool sees every run at once. Each addCell() returns
  * the cell's index; after runAll(), cell(i) yields that cell's averaged

@@ -12,8 +12,8 @@
  *
  * Doubly parallel: the trace-producing simulations run as one campaign,
  * and each injection campaign fans its (embarrassingly parallel) trials
- * over the same pool with per-trial split seeds, so the verdict counts
- * are identical for every SMTAVF_JOBS setting.
+ * over the same pool, with origins drawn from one seeded stream, so the
+ * verdict counts are identical for every SMTAVF_JOBS setting.
  */
 
 #include <chrono>

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "avf/injection.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 
 int
@@ -27,8 +28,9 @@ main(int argc, char **argv)
     cfg.recordCommitTrace = true;
     auto r = runMix(cfg, mix, 0);
 
-    InjectionCampaign campaign(*r.commitTrace);
-    auto res = campaign.run(trials, cfg.seed);
+    CampaignRunner pool;
+    auto res = runInjection(pool, InjectionCampaign(*r.commitTrace), trials,
+                            cfg.seed);
 
     std::printf("fault-injection validation on %s "
                 "(%zu committed instructions, %llu trials)\n\n",

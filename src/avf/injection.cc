@@ -115,30 +115,4 @@ InjectionCampaign::injectAt(std::size_t origin) const
     return InjectionOutcome::Corrupted;
 }
 
-InjectionResult
-InjectionCampaign::run(std::uint64_t trials, std::uint64_t seed) const
-{
-    InjectionResult res;
-    if (trace_.empty())
-        return res;
-    Rng rng(seed);
-    for (std::uint64_t t = 0; t < trials; ++t) {
-        auto origin =
-            static_cast<std::size_t>(rng.uniform(trace_.size()));
-        ++res.trials;
-        switch (injectAt(origin)) {
-          case InjectionOutcome::Masked:
-            ++res.masked;
-            break;
-          case InjectionOutcome::Corrupted:
-            ++res.corrupted;
-            break;
-          case InjectionOutcome::Skipped:
-            ++res.skipped;
-            break;
-        }
-    }
-    return res;
-}
-
 } // namespace smtavf

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "base/rng.hh"
 #include "base/types.hh"
 #include "isa/instr.hh"
 
@@ -112,7 +111,7 @@ struct InjectionResult
     }
 };
 
-/** Runs injection trials over a commit trace. */
+/** Adjudicates injection trials over a commit trace. */
 class InjectionCampaign
 {
   public:
@@ -125,11 +124,12 @@ class InjectionCampaign
     explicit InjectionCampaign(const CommitTrace &trace,
                                std::size_t max_depth = 50000);
 
-    /** Adjudicate a fault in the destination value of record @p origin. */
+    /**
+     * Adjudicate a fault in the destination value of record @p origin.
+     * runInjection() (sim/campaign.hh) samples the origins and fans the
+     * trials out over a worker pool.
+     */
     InjectionOutcome injectAt(std::size_t origin) const;
-
-    /** Run @p trials with random origins drawn from @p seed. */
-    InjectionResult run(std::uint64_t trials, std::uint64_t seed) const;
 
     /** Records available as injection origins (the trace length). */
     std::size_t traceSize() const { return trace_.size(); }

@@ -227,11 +227,4 @@ AvfLedger::occupancy(HwStruct s) const
            (static_cast<double>(bits) * static_cast<double>(totalCycles_));
 }
 
-double
-AvfLedger::aceShare(HwStruct s) const
-{
-    auto total = aceBitCycles(s) + unAceBitCycles(s);
-    return total ? static_cast<double>(aceBitCycles(s)) / total : 0.0;
-}
-
 } // namespace smtavf

@@ -191,9 +191,6 @@ class AvfLedger
     /** Fraction of bit-cycles occupied at all (ACE + un-ACE). */
     double occupancy(HwStruct s) const;
 
-    /** Fraction of occupied bit-cycles that are ACE. */
-    double aceShare(HwStruct s) const;
-
     std::uint64_t structureBits(HwStruct s) const;
     Cycle totalCycles() const { return totalCycles_; }
     unsigned numThreads() const { return numThreads_; }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Identifiers for the microarchitectural storage structures whose AVF the
- * framework tracks, plus their per-entry bit widths. Header-only and
- * dependency-free so low-level modules (isa) can reference it.
+ * framework tracks, plus their per-entry bit widths. Dependency-free, so
+ * any module can name a structure without pulling in the AVF framework.
  *
  * The tracked set matches the paper's Figures 1-8: shared pipeline
  * structures (IQ, register file, function units), shared memory structures

@@ -92,19 +92,6 @@ Rng::bernoulli(double p)
     return uniformReal() < p;
 }
 
-unsigned
-Rng::geometric(double p, unsigned cap)
-{
-    if (p >= 1.0)
-        return 0;
-    if (p <= 0.0)
-        return cap;
-    unsigned k = 0;
-    while (k < cap && !bernoulli(p))
-        ++k;
-    return k;
-}
-
 std::uint64_t
 Rng::zipf(std::uint64_t n, double s)
 {

@@ -18,7 +18,7 @@ namespace smtavf
 
 /**
  * Seedable xoshiro256** generator with convenience draws used by the
- * synthetic workload generator (uniform, bernoulli, geometric, zipf-like).
+ * synthetic workload generator (uniform, bernoulli, zipf-like).
  */
 class Rng
 {
@@ -40,12 +40,6 @@ class Rng
 
     /** True with probability p (clamped to [0,1]). */
     bool bernoulli(double p);
-
-    /**
-     * Geometric draw: number of failures before first success with success
-     * probability p; returns a value in [0, cap].
-     */
-    unsigned geometric(double p, unsigned cap);
 
     /**
      * Zipf-like draw over [0, n): item k has weight 1/(k+1)^s. Used to pick

@@ -20,10 +20,4 @@ StatGroup::get(const std::string &name) const
     return it->second;
 }
 
-bool
-StatGroup::has(const std::string &name) const
-{
-    return stats_.count(name) != 0;
-}
-
 } // namespace smtavf

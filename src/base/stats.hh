@@ -27,9 +27,6 @@ class StatGroup
     /** Read a named scalar; fatal if absent. */
     double get(const std::string &name) const;
 
-    /** True if the name is present. */
-    bool has(const std::string &name) const;
-
     /** All stats in name order. */
     const std::map<std::string, double> &all() const { return stats_; }
 

@@ -44,12 +44,6 @@ Gshare::restoreHistory(std::uint32_t history)
 }
 
 void
-Gshare::correctHistory(std::uint32_t pre_branch_history, bool taken)
-{
-    history_ = (((pre_branch_history << 1) | (taken ? 1 : 0)) & historyMask_);
-}
-
-void
 Gshare::update(Addr pc, bool taken, std::uint32_t history)
 {
     auto &ctr = table_[index(pc, history)];

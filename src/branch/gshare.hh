@@ -49,9 +49,6 @@ class Gshare
     /** Current (speculative) global history. */
     std::uint32_t history() const { return history_; }
 
-    /** Fix the history to the resolved outcome after a misprediction. */
-    void correctHistory(std::uint32_t pre_branch_history, bool taken);
-
     /** Checkpoint hook: mutable state only (geometry is config-derived). */
     template <class Ar>
     void

@@ -105,16 +105,4 @@ FuPool::acquire(FuType type, Cycle now, std::uint32_t occupancy)
     return false;
 }
 
-std::uint32_t
-FuPool::freeUnits(FuType type, Cycle now) const
-{
-    if (type == FuType::None)
-        return 1;
-    std::uint32_t free = 0;
-    for (auto busy : busyUntil_[static_cast<std::size_t>(type)])
-        if (busy <= now)
-            ++free;
-    return free;
-}
-
 } // namespace smtavf

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "avf/structures.hh"
 #include "base/arena.hh"
 #include "base/types.hh"
 #include "isa/instr.hh"
@@ -66,9 +67,6 @@ class FuPool
      * @return true on success; false when every unit is busy.
      */
     bool acquire(FuType type, Cycle now, std::uint32_t occupancy);
-
-    /** Units of @p type free at @p now. */
-    std::uint32_t freeUnits(FuType type, Cycle now) const;
 
     const FuConfig &config() const { return cfg_; }
 

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 
-#include "avf/structures.hh"
 #include "base/types.hh"
 
 namespace smtavf
@@ -51,9 +50,6 @@ bool isControl(OpClass op);
 
 /** True for loads and stores. */
 bool isMemRef(OpClass op);
-
-/** True for operations executed on floating-point units. */
-bool isFloat(OpClass op);
 
 /**
  * Architectural register namespace: indices [0, 32) are the integer file,

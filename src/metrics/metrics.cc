@@ -13,15 +13,6 @@ SimResult::mitf(HwStruct s) const
 }
 
 double
-SimResult::threadMitf(HwStruct s, ThreadId tid) const
-{
-    if (tid >= threads.size())
-        SMTAVF_FATAL("threadMitf for unknown thread ", tid);
-    double a = avf.threadAvf(s, tid);
-    return a > 0.0 ? threads[tid].ipc / a : 0.0;
-}
-
-double
 weightedSpeedup(const SimResult &smt, const std::vector<double> &st_ipc)
 {
     if (st_ipc.size() != smt.threads.size())
@@ -49,18 +40,6 @@ harmonicWeightedIpc(const SimResult &smt, const std::vector<double> &st_ipc)
         denom += 1.0 / w;
     }
     return static_cast<double>(st_ipc.size()) / denom;
-}
-
-double
-harmonicMeanIpc(const SimResult &smt)
-{
-    double denom = 0.0;
-    for (const auto &t : smt.threads) {
-        if (t.ipc <= 0.0)
-            return 0.0;
-        denom += 1.0 / t.ipc;
-    }
-    return static_cast<double>(smt.threads.size()) / denom;
 }
 
 } // namespace smtavf

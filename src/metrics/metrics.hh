@@ -54,9 +54,6 @@ struct SimResult
 
     /** Reliability efficiency of a structure: IPC / AVF (prop. to MITF). */
     double mitf(HwStruct s) const;
-
-    /** Per-thread reliability efficiency: thread IPC / thread AVF. */
-    double threadMitf(HwStruct s, ThreadId tid) const;
 };
 
 /**
@@ -68,9 +65,6 @@ double weightedSpeedup(const SimResult &smt, const std::vector<double> &st_ipc);
 /** Harmonic mean of the per-thread weighted IPCs (fairness-sensitive). */
 double harmonicWeightedIpc(const SimResult &smt,
                            const std::vector<double> &st_ipc);
-
-/** Harmonic mean of raw per-thread IPCs. */
-double harmonicMeanIpc(const SimResult &smt);
 
 } // namespace smtavf
 

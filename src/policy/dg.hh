@@ -21,7 +21,6 @@ class DgPolicy : public FetchPolicy
     /** @param threshold outstanding L1 D-misses that gate a thread. */
     DgPolicy(PolicyContext &ctx, unsigned threshold = 2);
 
-    const char *name() const override { return "DG"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 
     unsigned threshold() const { return threshold_; }

@@ -19,7 +19,6 @@ class DWarnPolicy : public FetchPolicy
 {
   public:
     using FetchPolicy::FetchPolicy;
-    const char *name() const override { return "DWarn"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 
   private:

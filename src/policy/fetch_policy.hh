@@ -160,8 +160,6 @@ class FetchPolicy
     explicit FetchPolicy(PolicyContext &ctx) : ctx_(ctx) {}
     virtual ~FetchPolicy() = default;
 
-    virtual const char *name() const = 0;
-
     /**
      * Threads allowed to fetch this cycle, highest priority first.
      * Gated threads are omitted. The returned reference points into

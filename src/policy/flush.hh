@@ -23,7 +23,6 @@ class FlushPolicy : public FetchPolicy
   public:
     explicit FlushPolicy(PolicyContext &ctx);
 
-    const char *name() const override { return "FLUSH"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
     void onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss) override;
     void onLoadDone(DynInstr &load, bool l1_miss, bool l2_miss) override;

@@ -17,7 +17,6 @@ class IcountPolicy : public FetchPolicy
 {
   public:
     using FetchPolicy::FetchPolicy;
-    const char *name() const override { return "ICOUNT"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 };
 

@@ -28,7 +28,6 @@ class PdgPolicy : public FetchPolicy
     PdgPolicy(PolicyContext &ctx, unsigned threshold = 2,
               std::uint32_t table_entries = 1024);
 
-    const char *name() const override { return "PDG"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
     void onFetch(DynInstr &in) override;
     void onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss) override;

@@ -71,7 +71,6 @@ class PRatPolicy : public FetchPolicy
     explicit PRatPolicy(PolicyContext &ctx, unsigned ace_cap = 0,
                         Cycle epoch = 4096);
 
-    const char *name() const override { return "PRAT"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 
     /** The epoch refresh and the throttle tally run in every call. */

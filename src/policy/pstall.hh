@@ -29,7 +29,6 @@ class PStallPolicy : public FetchPolicy
     explicit PStallPolicy(PolicyContext &ctx,
                           std::uint32_t table_entries = 1024);
 
-    const char *name() const override { return "PSTALL"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
     void onFetch(DynInstr &in) override;
     void onLoadIssued(DynInstr &load, bool l1_miss, bool l2_miss) override;

@@ -32,7 +32,6 @@ class RatPolicy : public FetchPolicy
      */
     explicit RatPolicy(PolicyContext &ctx, unsigned ace_cap = 0);
 
-    const char *name() const override { return "RAT"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 
     unsigned aceCap() const { return aceCap_; }

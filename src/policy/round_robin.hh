@@ -17,7 +17,6 @@ class RoundRobinPolicy : public FetchPolicy
 {
   public:
     using FetchPolicy::FetchPolicy;
-    const char *name() const override { return "RR"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 };
 

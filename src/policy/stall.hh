@@ -19,7 +19,6 @@ class StallPolicy : public FetchPolicy
 {
   public:
     using FetchPolicy::FetchPolicy;
-    const char *name() const override { return "STALL"; }
     const std::vector<ThreadId> &fetchOrder(Cycle now) override;
 };
 

@@ -137,15 +137,6 @@ ProtectionConfig::any() const
     return false;
 }
 
-bool
-ProtectionConfig::anyScrubbed() const
-{
-    for (auto s : scheme)
-        if (s == ProtScheme::SecdedScrub)
-            return true;
-    return false;
-}
-
 std::string
 ProtectionConfig::str() const
 {

@@ -132,9 +132,6 @@ struct ProtectionConfig
     /** True when any structure is protected at all. */
     bool any() const;
 
-    /** True when any structure uses SecdedScrub. */
-    bool anyScrubbed() const;
-
     /**
      * Canonical summary: "none", or comma-joined "key=scheme" pairs for
      * the protected structures in HwStruct order (stable across runs, so

@@ -187,27 +187,6 @@ CampaignRunner::run(const std::vector<Experiment> &exps, ProgressFn progress)
 }
 
 std::vector<SimResult>
-runMixReplicated(CampaignRunner &pool, const MachineConfig &cfg,
-                 const WorkloadMix &mix, unsigned replicas,
-                 std::uint64_t budget)
-{
-    if (replicas == 0)
-        SMTAVF_FATAL("need at least one replica");
-    std::vector<Experiment> exps;
-    exps.reserve(replicas);
-    for (unsigned i = 0; i < replicas; ++i) {
-        Experiment e;
-        e.label = mix.name + "/seed" + std::to_string(cfg.seed + i);
-        e.cfg = cfg;
-        e.cfg.seed = cfg.seed + i; // match the serial helper exactly
-        e.mix = mix;
-        e.budget = budget;
-        exps.push_back(std::move(e));
-    }
-    return pool.run(exps);
-}
-
-std::vector<SimResult>
 runSingleThreadBaselines(CampaignRunner &pool, const MachineConfig &smt_cfg,
                          const WorkloadMix &mix, const SimResult &smt)
 {
@@ -247,16 +226,6 @@ CampaignReport::count(RunStatus s) const
         if (o.status == s)
             ++n;
     return n;
-}
-
-std::vector<const SimResult *>
-CampaignReport::results() const
-{
-    std::vector<const SimResult *> out;
-    for (const auto &o : outcomes)
-        if (o.status == RunStatus::Ok)
-            out.push_back(&o.result);
-    return out;
 }
 
 std::string
@@ -729,9 +698,16 @@ runInjection(CampaignRunner &pool, const InjectionCampaign &campaign,
     if (campaign.traceSize() == 0 || trials == 0)
         return total;
 
+    // The origins are drawn up front from one stream, in trial order, so
+    // the sample depends only on (trace, trials, seed).
+    Rng rng(seed);
+    std::vector<std::size_t> origins(static_cast<std::size_t>(trials));
+    for (auto &origin : origins)
+        origin = static_cast<std::size_t>(rng.uniform(campaign.traceSize()));
+
     // Chunk trials so each pool task amortizes its scheduling cost;
     // verdict counts are sums, so any chunking/scheduling yields the
-    // same totals as long as trial t always uses splitSeed(seed, t).
+    // same totals.
     constexpr std::uint64_t chunk = 256;
     const std::size_t chunks =
         static_cast<std::size_t>((trials + chunk - 1) / chunk);
@@ -742,11 +718,8 @@ runInjection(CampaignRunner &pool, const InjectionCampaign &campaign,
         std::uint64_t end = std::min(trials, begin + chunk);
         InjectionResult &res = partial[c];
         for (std::uint64_t t = begin; t < end; ++t) {
-            Rng rng(splitSeed(seed, t));
-            auto origin = static_cast<std::size_t>(
-                rng.uniform(campaign.traceSize()));
             ++res.trials;
-            switch (campaign.injectAt(origin)) {
+            switch (campaign.injectAt(origins[t])) {
               case InjectionOutcome::Masked:
                 ++res.masked;
                 break;

@@ -157,17 +157,6 @@ class CampaignRunner
 };
 
 /**
- * Parallel drop-in for runMixReplicated(): replica i simulates with seed
- * cfg.seed + i, exactly as the serial helper, so the returned runs are
- * bit-identical to it.
- */
-std::vector<SimResult> runMixReplicated(CampaignRunner &pool,
-                                        const MachineConfig &cfg,
-                                        const WorkloadMix &mix,
-                                        unsigned replicas,
-                                        std::uint64_t budget = 0);
-
-/**
  * Parallel drop-in for the Figure 3/4 single-thread baseline loop: one
  * runSingleThreadBaseline() replay per context of a finished SMT run,
  * each replaying exactly the instruction count that context committed.
@@ -179,12 +168,10 @@ std::vector<SimResult> runSingleThreadBaselines(CampaignRunner &pool,
                                                 const SimResult &smt);
 
 /**
- * Deterministic parallel fault-injection campaign: trial t draws its
- * origin from an Rng seeded with splitSeed(seed, t), so the aggregate
+ * Deterministic parallel fault-injection campaign: the @p trials origins
+ * are drawn in trial order from one Rng(seed) stream, then adjudicated
+ * by InjectionCampaign::injectAt() across the pool, so the aggregate
  * verdict counts are identical for every worker count and schedule.
- * (The serial InjectionCampaign::run() draws all origins from one
- * sequential stream and therefore samples a different — equally valid —
- * set of origins.)
  */
 InjectionResult runInjection(CampaignRunner &pool,
                              const InjectionCampaign &campaign,
@@ -341,9 +328,6 @@ struct CampaignReport
 
     /** True when every run produced a result. */
     bool allOk() const { return count(RunStatus::Ok) == outcomes.size(); }
-
-    /** Collect the Ok results in submission order (partial on failures). */
-    std::vector<const SimResult *> results() const;
 
     /** Human-readable summary of every non-Ok run ("" when allOk()). */
     std::string failureReport() const;

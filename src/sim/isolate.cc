@@ -22,6 +22,10 @@
 #include "sim/errors.hh"
 #include "sim/journal.hh"
 
+#ifdef SMTAVF_COVERAGE
+extern "C" void __gcov_dump(); // libgcov: write this process's counts
+#endif
+
 namespace smtavf
 {
 
@@ -201,6 +205,11 @@ childBatchMain(std::size_t n, const std::function<SimResult(std::size_t)> &fn,
         writeAll(fd, head + payload);
     }
     ::close(fd);
+#ifdef SMTAVF_COVERAGE
+    // _exit skips libgcov's exit handler; without this, coverage would
+    // never count what process-mode children run.
+    __gcov_dump();
+#endif
     // _exit, not exit: the child must not run the parent's atexit
     // handlers or flush duplicated stdio buffers.
     ::_exit(0);
@@ -310,12 +319,6 @@ recordDeath(ChildBatchOutcome &out, bool cancelled, CrashKind crash,
 }
 
 } // namespace
-
-const char *
-isolateModeName(IsolateMode m)
-{
-    return m == IsolateMode::Process ? "process" : "thread";
-}
 
 bool
 parseIsolateMode(const std::string &name, IsolateMode &out)

@@ -44,9 +44,6 @@ enum class IsolateMode
     Process ///< forked sandboxed children: rlimits, hard kill, taxonomy
 };
 
-/** Canonical lower-case name ("thread", "process"). */
-const char *isolateModeName(IsolateMode m);
-
 /** Parse an isolation mode name (case-insensitive). */
 bool parseIsolateMode(const std::string &name, IsolateMode &out);
 

@@ -126,7 +126,7 @@ namespace
  * setup-time container that misses the arena should fail this gate.
  */
 constexpr std::uint64_t kSetupAllocBudget = 10;    // measured 4
-constexpr std::uint64_t kCaptureAllocBudget = 64;  // measured 35
+constexpr std::uint64_t kCaptureAllocBudget = 64;  // measured 29
 constexpr std::uint64_t kRestoreAllocBudget = 8;   // measured 3
 constexpr std::uint64_t kTeardownAllocBudget = 4;  // measured 0
 

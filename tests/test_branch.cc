@@ -88,14 +88,6 @@ TEST(GshareTest, SpeculateReturnsPreviousHistory)
     EXPECT_EQ(g.history(), ((before << 1) | 1u) & 0x3ffu);
 }
 
-TEST(GshareTest, CorrectHistoryRewritesLastBit)
-{
-    Gshare g(1024, 10);
-    auto pre = g.speculate(true); // wrong guess
-    g.correctHistory(pre, false);
-    EXPECT_EQ(g.history(), (pre << 1) & 0x3ffu);
-}
-
 // ---- BTB -------------------------------------------------------------------
 
 TEST(BtbTest, RejectsBadGeometry)

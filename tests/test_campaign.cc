@@ -3,8 +3,8 @@
  * Differential and determinism tests for the parallel campaign runner:
  * a campaign must produce bit-identical SimResults whether it runs as a
  * plain serial runMix() loop, on a 1-worker pool, or on an N-worker
- * pool, and a seeded injection campaign must yield identical verdict
- * counts for every worker count (the seed-splitting contract).
+ * pool, and a seeded injection campaign must yield the verdict counts
+ * of a serial loop over one Rng(seed) stream for every worker count.
  */
 
 #include <gtest/gtest.h>
@@ -124,23 +124,6 @@ TEST(CampaignDifferential, ResultsArriveInSubmissionOrder)
     ASSERT_EQ(results.size(), exps.size());
     for (std::size_t i = 0; i < exps.size(); ++i)
         EXPECT_EQ(results[i].mixName, exps[i].mix.name);
-}
-
-TEST(CampaignDifferential, ReplicatedHelperMatchesSerialHelper)
-{
-    auto cfg = table1Config(2);
-    cfg.seed = 5;
-    const auto &mix = findMix("2ctx-mix-A");
-
-    auto serial = runMixReplicated(cfg, mix, 3, kBudget);
-    CampaignRunner pool(2);
-    auto parallel = runMixReplicated(pool, cfg, mix, 3, kBudget);
-
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        SCOPED_TRACE("replica " + std::to_string(i));
-        expectIdentical(serial[i], parallel[i]);
-    }
 }
 
 TEST(CampaignDifferential, SingleThreadBaselinesMatchSerialLoop)
@@ -272,6 +255,42 @@ TEST_F(InjectionDeterminism, VerdictCountsIndependentOfWorkerCount)
         EXPECT_EQ(res.masked, baseline.masked) << jobs << " workers";
         EXPECT_EQ(res.corrupted, baseline.corrupted) << jobs;
         EXPECT_EQ(res.skipped, baseline.skipped) << jobs;
+    }
+}
+
+TEST_F(InjectionDeterminism, MatchesSerialLoopOverOneStream)
+{
+    // The reference driver: one Rng(seed) stream, one origin per trial in
+    // trial order, each adjudicated in turn.
+    InjectionCampaign campaign(*trace_);
+    constexpr std::uint64_t trials = 2000;
+    constexpr std::uint64_t seed = 31;
+    InjectionResult serial;
+    Rng rng(seed);
+    for (std::uint64_t t = 0; t < trials; ++t) {
+        auto origin =
+            static_cast<std::size_t>(rng.uniform(campaign.traceSize()));
+        ++serial.trials;
+        switch (campaign.injectAt(origin)) {
+          case InjectionOutcome::Masked:
+            ++serial.masked;
+            break;
+          case InjectionOutcome::Corrupted:
+            ++serial.corrupted;
+            break;
+          case InjectionOutcome::Skipped:
+            ++serial.skipped;
+            break;
+        }
+    }
+
+    for (unsigned jobs : {1u, 2u, hardwareJobs()}) {
+        CampaignRunner pool(jobs);
+        auto res = runInjection(pool, campaign, trials, seed);
+        EXPECT_EQ(res.trials, serial.trials) << jobs << " workers";
+        EXPECT_EQ(res.masked, serial.masked) << jobs << " workers";
+        EXPECT_EQ(res.corrupted, serial.corrupted) << jobs << " workers";
+        EXPECT_EQ(res.skipped, serial.skipped) << jobs << " workers";
     }
 }
 

@@ -90,7 +90,9 @@ goldenText()
         std::size_t dead = 0;
         for (const auto &rec : recs)
             dead += rec.destDead ? 1 : 0;
-        auto inj = InjectionCampaign(*r.commitTrace).run(600, 7);
+        CampaignRunner pool(1);
+        auto inj = runInjection(pool, InjectionCampaign(*r.commitTrace),
+                                600, 7);
         os << "# inject mix=2ctx-mix-A records=" << recs.size()
            << " dead=" << dead << " trials=" << inj.trials
            << " masked=" << inj.masked << " corrupted=" << inj.corrupted

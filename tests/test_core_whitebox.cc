@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "policy/dwarn.hh"
 #include "sim/experiment.hh"
 #include "sim/simulator.hh"
 
@@ -79,7 +80,8 @@ TEST(CoreWhitebox, PolicyAccessorMatchesConfig)
     auto cfg = table1Config(2);
     cfg.fetchPolicy = FetchPolicyKind::DWarn;
     Simulator sim(cfg, findMix("2ctx-cpu-A"));
-    EXPECT_STREQ(sim.core().policy().name(), "DWarn");
+    EXPECT_NE(dynamic_cast<const DWarnPolicy *>(&sim.core().policy()),
+              nullptr);
     EXPECT_EQ(sim.core().numThreads(), 2u);
 }
 

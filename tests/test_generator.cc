@@ -202,7 +202,8 @@ TEST_P(GeneratorProperties, MixFractionsApproximateProfile)
         loads += in.op == OpClass::Load;
         stores += in.op == OpClass::Store;
         branches += in.op == OpClass::BranchCond;
-        fp += isFloat(in.op);
+        fp += in.op == OpClass::FpAlu || in.op == OpClass::FpMult ||
+              in.op == OpClass::FpDiv;
     }
     EXPECT_NEAR(double(loads) / n, p.loadFrac, 0.02);
     EXPECT_NEAR(double(stores) / n, p.storeFrac, 0.02);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "avf/injection.hh"
+#include "sim/campaign.hh"
 #include "sim/experiment.hh"
 #include "test_util.hh"
 
@@ -157,8 +158,9 @@ TEST(InjectionCampaignTest, DeterministicForSameSeed)
     ASSERT_NE(r.commitTrace, nullptr);
 
     InjectionCampaign c(*r.commitTrace);
-    auto a = c.run(500, 42);
-    auto b = c.run(500, 42);
+    CampaignRunner pool(2);
+    auto a = runInjection(pool, c, 500, 42);
+    auto b = runInjection(pool, c, 500, 42);
     EXPECT_EQ(a.corrupted, b.corrupted);
     EXPECT_EQ(a.masked, b.masked);
     EXPECT_EQ(a.trials, 500u);
@@ -175,7 +177,8 @@ TEST(InjectionCampaignTest, MaskingUpperBoundsFirstLevelDeadness)
     ASSERT_NE(r.commitTrace, nullptr);
 
     InjectionCampaign c(*r.commitTrace);
-    auto res = c.run(2000, 7);
+    CampaignRunner pool(2);
+    auto res = runInjection(pool, c, 2000, 7);
     double fdd = r.stats.get("deadCode.fraction");
     EXPECT_GE(res.maskedRate() + 0.05, fdd);
     EXPECT_GT(res.maskedRate(), 0.0);

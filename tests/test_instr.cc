@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "avf/structures.hh"
 #include "isa/instr.hh"
 
 namespace smtavf
@@ -29,15 +30,6 @@ TEST(OpClassHelpers, MemClassification)
     EXPECT_TRUE(isMemRef(OpClass::Store));
     EXPECT_FALSE(isMemRef(OpClass::IntAlu));
     EXPECT_FALSE(isMemRef(OpClass::BranchCond));
-}
-
-TEST(OpClassHelpers, FloatClassification)
-{
-    EXPECT_TRUE(isFloat(OpClass::FpAlu));
-    EXPECT_TRUE(isFloat(OpClass::FpMult));
-    EXPECT_TRUE(isFloat(OpClass::FpDiv));
-    EXPECT_FALSE(isFloat(OpClass::IntMult));
-    EXPECT_FALSE(isFloat(OpClass::Load));
 }
 
 TEST(OpClassHelpers, NamesAreDistinct)

@@ -41,7 +41,8 @@ TEST(LedgerTest, UnAceCountsTowardOccupancyOnly)
     l.finalize(100);
     EXPECT_DOUBLE_EQ(l.avf(HwStruct::ROB), 0.05);
     EXPECT_DOUBLE_EQ(l.occupancy(HwStruct::ROB), 0.10);
-    EXPECT_DOUBLE_EQ(l.aceShare(HwStruct::ROB), 0.5);
+    // Half the occupied bit-cycles are ACE.
+    EXPECT_EQ(l.aceBitCycles(HwStruct::ROB), l.unAceBitCycles(HwStruct::ROB));
 }
 
 TEST(LedgerTest, PerThreadAttribution)

@@ -66,13 +66,6 @@ TEST(MetricsTest, HarmonicZeroThreadYieldsZero)
 {
     auto r = makeResult({1.0, 0.0});
     EXPECT_DOUBLE_EQ(harmonicWeightedIpc(r, {1.0, 1.0}), 0.0);
-    EXPECT_DOUBLE_EQ(harmonicMeanIpc(r), 0.0);
-}
-
-TEST(MetricsTest, HarmonicMeanIpc)
-{
-    auto r = makeResult({1.0, 0.5});
-    EXPECT_DOUBLE_EQ(harmonicMeanIpc(r), 2.0 / (1.0 + 2.0));
 }
 
 TEST(MetricsTest, MitfIsIpcOverAvf)
@@ -85,7 +78,6 @@ TEST(MetricsTest, MitfIsIpcOverAvf)
     auto r = makeResult({2.0});
     r.avf = AvfReport::fromLedger(l);
     EXPECT_DOUBLE_EQ(r.mitf(HwStruct::IQ), 2.0 / 0.5);
-    EXPECT_DOUBLE_EQ(r.threadMitf(HwStruct::IQ, 0), 2.0 / 0.5);
 }
 
 TEST(MetricsTest, MitfZeroAvfIsZero)
@@ -96,13 +88,6 @@ TEST(MetricsTest, MitfZeroAvfIsZero)
     l.finalize(100);
     r.avf = AvfReport::fromLedger(l);
     EXPECT_DOUBLE_EQ(r.mitf(HwStruct::IQ), 0.0);
-}
-
-TEST(MetricsTest, ThreadMitfBoundsChecked)
-{
-    ThrowGuard guard;
-    auto r = makeResult({2.0});
-    EXPECT_THROW(r.threadMitf(HwStruct::IQ, 5), SimError);
 }
 
 TEST(ReportTest, FigureStructsMatchPaperOrder)

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <typeinfo>
+#include <utility>
 
 #include "policy/dg.hh"
 #include "policy/dwarn.hh"
@@ -361,14 +363,21 @@ TEST(PRatPolicyTest, FallsBackWhenAllAboveCap)
 TEST(FactoryTest, BuildsEveryKindWithMatchingName)
 {
     FakeContext ctx(2);
-    for (auto kind : {FetchPolicyKind::RoundRobin, FetchPolicyKind::Icount,
-                      FetchPolicyKind::Flush, FetchPolicyKind::Stall,
-                      FetchPolicyKind::Dg, FetchPolicyKind::Pdg,
-                      FetchPolicyKind::DWarn, FetchPolicyKind::PStall,
-                      FetchPolicyKind::Rat, FetchPolicyKind::PRat}) {
+    const std::pair<FetchPolicyKind, const std::type_info &> kinds[] = {
+        {FetchPolicyKind::RoundRobin, typeid(RoundRobinPolicy)},
+        {FetchPolicyKind::Icount, typeid(IcountPolicy)},
+        {FetchPolicyKind::Flush, typeid(FlushPolicy)},
+        {FetchPolicyKind::Stall, typeid(StallPolicy)},
+        {FetchPolicyKind::Dg, typeid(DgPolicy)},
+        {FetchPolicyKind::Pdg, typeid(PdgPolicy)},
+        {FetchPolicyKind::DWarn, typeid(DWarnPolicy)},
+        {FetchPolicyKind::PStall, typeid(PStallPolicy)},
+        {FetchPolicyKind::Rat, typeid(RatPolicy)},
+        {FetchPolicyKind::PRat, typeid(PRatPolicy)}};
+    for (const auto &[kind, type] : kinds) {
         auto p = makeFetchPolicy(kind, ctx);
         ASSERT_NE(p, nullptr);
-        EXPECT_STREQ(p->name(), fetchPolicyName(kind));
+        EXPECT_TRUE(typeid(*p) == type) << fetchPolicyName(kind);
         EXPECT_FALSE(p->fetchOrder(0).empty());
     }
 }

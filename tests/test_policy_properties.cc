@@ -375,8 +375,8 @@ TEST(PolicyProperties, JournalRecordsInvariantAcrossIsolationModes)
     for (std::size_t i = 0; i < exps.size(); ++i) {
         SCOPED_TRACE(exps[i].label);
         auto fp = experimentFingerprint(exps[i]);
-        EXPECT_EQ(serializeRun(fp, *thread_report.results()[i]),
-                  serializeRun(fp, *process_report.results()[i]));
+        EXPECT_EQ(serializeRun(fp, thread_report.outcomes[i].result),
+                  serializeRun(fp, process_report.outcomes[i].result));
     }
 }
 
@@ -479,7 +479,7 @@ TEST(PolicyProperties, GoldenJournalResumesWithoutResimulating)
     for (std::size_t i = 0; i < exps.size(); ++i) {
         SCOPED_TRACE(exps[i].label);
         auto fp = experimentFingerprint(exps[i]);
-        EXPECT_EQ(serializeRun(fp, *report.results()[i]),
+        EXPECT_EQ(serializeRun(fp, report.outcomes[i].result),
                   serializeRun(fp, fresh[i]));
     }
 }

@@ -132,12 +132,10 @@ TEST(ProtectionConfigTest, StrIsCanonical)
     p.assign(HwStruct::RegFile, ProtScheme::Parity);
     p.assign(HwStruct::IQ, ProtScheme::Secded);
     EXPECT_TRUE(p.any());
-    EXPECT_FALSE(p.anyScrubbed());
     // HwStruct order, not assignment order; no scrub suffix unscrubbed.
     EXPECT_EQ(p.str(), "iq=secded,regfile=parity");
     p.assign(HwStruct::ROB, ProtScheme::SecdedScrub);
     p.scrubInterval = 777;
-    EXPECT_TRUE(p.anyScrubbed());
     EXPECT_EQ(p.str(), "iq=secded,regfile=parity,rob=secded+scrub,"
                        "scrub=777");
 }

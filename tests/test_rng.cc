@@ -126,30 +126,6 @@ TEST(Rng, BernoulliRateMatchesP)
     EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
 }
 
-TEST(Rng, GeometricRespectsCap)
-{
-    Rng r(23);
-    for (int i = 0; i < 1000; ++i)
-        ASSERT_LE(r.geometric(0.1, 5), 5u);
-}
-
-TEST(Rng, GeometricDegenerateP)
-{
-    Rng r(29);
-    EXPECT_EQ(r.geometric(1.0, 10), 0u);
-    EXPECT_EQ(r.geometric(0.0, 10), 10u);
-}
-
-TEST(Rng, GeometricMeanRoughlyMatches)
-{
-    Rng r(31);
-    double sum = 0;
-    const int n = 50000;
-    for (int i = 0; i < n; ++i)
-        sum += r.geometric(0.5, 100);
-    EXPECT_NEAR(sum / n, 1.0, 0.05); // mean failures = (1-p)/p = 1
-}
-
 TEST(Rng, ZipfStaysInRange)
 {
     Rng r(37);

@@ -93,11 +93,7 @@ expectIdentical(const SimResult &a, const SimResult &b)
         }
     }
 
-    ASSERT_EQ(a.stats.all().size(), b.stats.all().size());
-    for (const auto &[name, value] : a.stats.all()) {
-        ASSERT_TRUE(b.stats.has(name)) << name;
-        EXPECT_EQ(value, b.stats.get(name)) << name;
-    }
+    EXPECT_EQ(a.stats.all(), b.stats.all());
 }
 
 std::vector<std::string>
@@ -319,7 +315,6 @@ TEST(Tolerant, CampaignSurvivesInjectedFailures)
 
     // Partial results survive and the report names every casualty.
     EXPECT_EQ(report.count(RunStatus::Ok), 2u);
-    EXPECT_EQ(report.results().size(), 2u);
     auto fr = report.failureReport();
     EXPECT_NE(fr.find(exps[1].label), std::string::npos);
     EXPECT_NE(fr.find("quarantined"), std::string::npos);

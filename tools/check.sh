@@ -1,20 +1,23 @@
 #!/bin/sh
 # Build and test every supported configuration: plain release, ASan, the
-# tsan-labelled concurrency tests under ThreadSanitizer, a gcov
-# line-coverage gate on the protection subsystem, and the chaos leg
-# (process-isolation crash taxonomy plus a scripted supervisor-kill /
-# --resume recovery smoke). This is the pre-merge gate; CMakePresets.json
-# defines the same configurations for interactive use
-# (cmake --preset release, etc.).
+# tsan-labelled concurrency tests under ThreadSanitizer, gcov
+# line-coverage gates on src/protect/, src/policy/ and src/cli/ under
+# the tests, the chaos leg (process-isolation crash taxonomy plus a
+# scripted supervisor-kill / --resume recovery smoke), the ckpt leg
+# (checkpoint kill/restore smoke), and a gcov line-coverage gate on all
+# of src/ under the system: the benches, examples and CLI. This is the
+# pre-merge gate; CMakePresets.json defines the release, asan and tsan
+# configurations for interactive use (cmake --preset release, etc.).
 #
-# Usage: tools/check.sh [release|asan|tsan|coverage|chaos|ckpt ...]
-#        (default: all six)
+# Usage: tools/check.sh
+#          [release|asan|tsan|coverage|chaos|ckpt|system-coverage ...]
+#        (default: all seven)
 
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
 jobs=${SMTAVF_CHECK_JOBS:-$(nproc 2>/dev/null || echo 2)}
-presets=${*:-"release asan tsan coverage chaos ckpt"}
+presets=${*:-"release asan tsan coverage chaos ckpt system-coverage"}
 
 # The protection subsystem (search, pruning proof, cost model, CLI
 # parsing) carries correctness arguments that only hold if its branches
@@ -28,6 +31,11 @@ policy_coverage_gate=90
 # The CLI option table (src/cli/): every row, validator and cross-flag
 # rule is reached by the run/campaign/protect fuzz suites.
 cli_coverage_gate=95
+# All of src/ as the system runs it: every bench, every example and the
+# CLI calls of the system-coverage leg, with no test binary. What this
+# misses is listed, with a reason per function, in
+# docs/perf/system-coverage/uncalled.md.
+system_coverage_gate=80
 
 for preset in $presets; do
     build="$repo/build-$preset"
@@ -41,15 +49,16 @@ for preset in $presets; do
       tsan)    cmake -S "$repo" -B "$build" \
                      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
                      -DSMTAVF_SANITIZE=thread ;;
-      coverage) cmake -S "$repo" -B "$build" \
-                      -DCMAKE_BUILD_TYPE=Debug \
-                      -DSMTAVF_COVERAGE=ON ;;
+      coverage|system-coverage)
+               cmake -S "$repo" -B "$build" \
+                     -DCMAKE_BUILD_TYPE=Debug \
+                     -DSMTAVF_COVERAGE=ON ;;
       chaos)   cmake -S "$repo" -B "$build" \
                      -DCMAKE_BUILD_TYPE=RelWithDebInfo ;;
       ckpt)    cmake -S "$repo" -B "$build" \
                      -DCMAKE_BUILD_TYPE=RelWithDebInfo ;;
       *) echo "unknown preset: $preset (want release, asan, tsan," \
-              "coverage, chaos or ckpt)" >&2
+              "coverage, chaos, ckpt or system-coverage)" >&2
          exit 2 ;;
     esac
 
@@ -193,8 +202,9 @@ for preset in $presets; do
         trap - EXIT
     elif [ "$preset" = coverage ]; then
         # An unoptimized instrumented full suite would be slow for no
-        # extra signal: the gates price src/protect/ and src/policy/
-        # only, so run the tests that exercise those surfaces. Counts
+        # extra signal: the gates price src/protect/, src/policy/ and
+        # src/cli/ only, so run the tests that exercise those surfaces.
+        # Counts
         # left by an earlier run (or by objects built at another
         # commit) would add to this run's, so the gates start from none.
         find "$build" -name '*.gcda' -delete
@@ -205,6 +215,120 @@ for preset in $presets; do
             src/protect/ "$coverage_gate" \
             src/policy/ "$policy_coverage_gate" \
             src/cli/ "$cli_coverage_gate"
+    elif [ "$preset" = system-coverage ]; then
+        # What the system runs, with no test binary: every bench at
+        # scale 1 (the paper's tables and figures), every example, and
+        # CLI calls that cover each subcommand and output mode. Forked
+        # children write their counts before _exit in coverage builds,
+        # so process-mode code is priced too. The gate lists every src/
+        # function the run never called.
+        find "$build" -name '*.gcda' -delete
+        for b in "$build"/bench/*; do
+            echo "  $(basename "$b")"
+            SMTAVF_SCALE=1 "$b" >/dev/null
+        done
+        for e in avf_phases fetch_policy_study injection_validation \
+                 per_thread_avf quickstart workload_mix_report; do
+            echo "  $e"
+            "$build/examples/$e" >/dev/null
+        done
+
+        cli="$build/tools/smtavf_cli"
+        tmp=$(mktemp -d)
+        trap 'rm -rf "$tmp"' EXIT
+        # expect STATUS ARGS...: run the CLI, require its exit status.
+        expect() {
+            want=$1
+            shift
+            echo "  smtavf_cli $*"
+            st=0
+            "$cli" "$@" > "$tmp/out" 2>&1 || st=$?
+            if [ "$st" -ne "$want" ]; then
+                cat "$tmp/out" >&2
+                echo "smtavf_cli $*: expected exit $want, got $st" >&2
+                exit 1
+            fi
+        }
+        small='--instructions 20000'
+        # run: each output mode and model switch.
+        expect 0 --help
+        expect 0 --list
+        expect 0 --table1
+        expect 0 --mix 2ctx-mix-A $small
+        expect 0 run --mix 2ctx-mix-A $small --csv
+        expect 0 run --mix 2ctx-mix-A $small --replicas 2
+        expect 0 run --mix 4ctx-mem-A --policy PRAT --prat-epoch 4096 \
+            --prat-cap 16 $small --json
+        expect 0 run --mix 2ctx-cpu-A $small --warmup 5000 --sample 2000 \
+            --timeline-csv
+        expect 0 run --mix 2ctx-mix-A $small --avf-interval 5000
+        expect 0 run --mix 2ctx-mix-A $small --avf-interval 5000 \
+            --avf-interval-csv "$tmp/intervals.csv"
+        expect 0 run --mix 2ctx-mem-A $small --iq-partition --no-dead-code \
+            --no-wrong-path --per-line-cache --no-prewarm
+        # Checkpoint capture and restore under each policy that carries
+        # state across the boundary; the restore must match byte for byte.
+        for p in ICOUNT FLUSH PDG PSTALL PRAT; do
+            args="--mix 4ctx-mem-A --policy $p --instructions 30000"
+            # shellcheck disable=SC2086  # word splitting is the point
+            expect 0 run $args --checkpoint-at 15000 \
+                --checkpoint-out "$tmp/$p.ckpt" --csv
+            mv "$tmp/out" "$tmp/$p.ref"
+            # shellcheck disable=SC2086
+            expect 0 run $args --restore "$tmp/$p.ckpt" --csv
+            cmp "$tmp/$p.ref" "$tmp/out"
+        done
+        # campaign: both isolation modes, journal and resume, shards and
+        # their merge, shared warmup, every policy, the failure knobs.
+        expect 0 campaign --contexts 2 $small --journal "$tmp/c.journal" \
+            --csv
+        expect 0 campaign --contexts 2 $small --journal "$tmp/c.journal" \
+            --resume
+        expect 0 campaign --contexts 2 $small --isolate process \
+            --runs-per-child 2 --hard-timeout 600 --child-cpu 600 \
+            --child-mem 4096 --journal "$tmp/p.journal"
+        expect 0 campaign --mix 2ctx-mix-A --policy all $small \
+            --master-seed 3 --retries 2 --backoff 0.01 --timeout 600 \
+            --cancel-check 1000
+        expect 0 campaign --contexts 2 $small --master-seed 3 --shard 0/2 \
+            --journal "$tmp/s0.journal"
+        expect 0 campaign --contexts 2 $small --master-seed 3 --shard 1/2 \
+            --journal "$tmp/s1.journal"
+        expect 0 merge-journals --out "$tmp/merged.journal" \
+            "$tmp/s0.journal" "$tmp/s1.journal"
+        expect 0 campaign --mix 2ctx-mix-A --policy all $small \
+            --warmup 10000 --shared-warmup
+        expect 0 campaign --mix 2ctx-mix-A --policy all $small \
+            --warmup 10000 --shared-warmup --isolate process \
+            --checkpoint-dir "$tmp"
+        # journal fsck: clean, torn (a crash mid-append), repaired.
+        expect 0 journal fsck "$tmp/c.journal"
+        size=$(wc -c < "$tmp/c.journal")
+        head -c $((size - 7)) "$tmp/c.journal" > "$tmp/torn.journal"
+        expect 3 journal fsck "$tmp/torn.journal"
+        expect 0 journal fsck --repair "$tmp/torn.journal"
+        expect 0 journal fsck "$tmp/torn.journal"
+        # protect: a fixed assignment in each output mode, the prefix
+        # search in each output mode, the beam search and its resume.
+        expect 0 protect --mix 2ctx-mix-A $small --scheme secded
+        expect 0 protect --mix 2ctx-mix-A $small --scheme parity --json
+        expect 0 protect --mix 2ctx-mix-A $small \
+            --assign rob=parity,iq=secded+scrub@5000 --csv
+        expect 0 protect --mix 2ctx-mix-A $small --explore
+        expect 0 protect --mix 2ctx-mix-A $small --explore --csv
+        expect 0 protect --mix 2ctx-mix-A $small --explore --json
+        expect 0 protect --mix 2ctx-mix-A $small --explore=beam \
+            --beam-width 2 --generations 2 --warmup 5000 --shared-warmup \
+            --journal "$tmp/beam.journal"
+        expect 0 protect --mix 2ctx-mix-A $small --explore=beam \
+            --beam-width 2 --generations 2 --warmup 5000 --shared-warmup \
+            --journal "$tmp/beam.journal" --resume
+        rm -rf "$tmp"
+        trap - EXIT
+
+        echo "==> [$preset] gate"
+        python3 "$repo/tools/coverage_gate.py" "$build" \
+            src/ "$system_coverage_gate"
     else
         (cd "$build" && ctest --output-on-failure -j "$jobs")
     fi

@@ -4,15 +4,19 @@
 Usage: coverage_gate.py BUILD_DIR SOURCE_PREFIX MIN_PERCENT \
                         [SOURCE_PREFIX MIN_PERCENT ...]
 
-Walks BUILD_DIR for .gcda files left behind by a --coverage test run
-(CMake option SMTAVF_COVERAGE, driven by `tools/check.sh coverage`),
-asks gcov for JSON intermediate output, and aggregates executable-line
-coverage over every source file whose repo-relative path starts with a
-SOURCE_PREFIX. A line is covered when any translation unit executed it,
-so headers shared across TUs are priced once, at their best count.
+Walks BUILD_DIR for .gcda files left behind by a --coverage run (CMake
+option SMTAVF_COVERAGE, driven by `tools/check.sh coverage` over tests
+and `tools/check.sh system-coverage` over the benches, examples and
+CLI), asks gcov for JSON intermediate output, and aggregates
+executable-line coverage over every source file whose repo-relative
+path starts with a SOURCE_PREFIX. A line is covered when any
+translation unit executed it, so headers shared across TUs are priced
+once, at their best count. A function is a source location: it counts
+as called when any translation unit called any instantiation of it.
 
 Each (SOURCE_PREFIX, MIN_PERCENT) pair gates independently; the .gcda
-walk runs once for all of them. Exits 1 with a per-file table when any
+walk runs once for all of them. Under each prefix the per-file table
+is followed by every function the run never called. Exits 1 when any
 prefix's aggregate coverage is below its MIN_PERCENT, 2 on
 usage/tooling errors.
 """
@@ -50,7 +54,7 @@ def gcov_json(gcda, scratch):
         os.remove(path)
 
 
-def gate(prefix, min_percent, line_hits):
+def gate(prefix, min_percent, line_hits, func_calls):
     """Apply one (prefix, floor) pair; return True when it holds."""
     per_file = {}
     for (rel, _line), count in line_hits.items():
@@ -73,6 +77,13 @@ def gate(prefix, min_percent, line_hits):
         print(f"  {rel:<{width}}  {100.0 * c / t:6.2f}%  ({c}/{t})")
     print(f"{prefix} line coverage: {percent:.2f}% "
           f"({covered}/{total}), gate {min_percent:.2f}%")
+
+    uncalled = sorted((rel, line, name)
+                      for (rel, line), (name, calls) in func_calls.items()
+                      if rel.startswith(prefix) and calls == 0)
+    print(f"{prefix} functions never called: {len(uncalled)}")
+    for rel, line, name in uncalled:
+        print(f"  {rel}:{line}  {name}")
 
     if percent < min_percent:
         print(f"coverage_gate: {percent:.2f}% < {min_percent:.2f}% — "
@@ -97,8 +108,11 @@ def main(argv):
     repo = os.path.dirname(os.path.dirname(os.path.abspath(argv[0])))
     prefixes = tuple(p for p, _m in gates)
 
-    # line_hits[(file, line)] = max execution count over all TUs.
+    # line_hits[(file, line)] = max execution count over all TUs;
+    # func_calls[(file, first line)] = (name, max calls over all TUs and
+    # instantiations), the name being the shortest instantiation's.
     line_hits = {}
+    func_calls = {}
     gcda_count = 0
     with tempfile.TemporaryDirectory() as scratch:
         for gcda in find_gcda(build_dir):
@@ -116,6 +130,12 @@ def main(argv):
                         count = line["count"]
                         line_hits[key] = max(
                             line_hits.get(key, 0), count)
+                    for fn in f.get("functions", []):
+                        key = (rel, fn["start_line"])
+                        name = fn["demangled_name"]
+                        old, calls = func_calls.get(key, (name, 0))
+                        func_calls[key] = (min(old, name, key=len), max(
+                            calls, fn["execution_count"]))
     if gcda_count == 0:
         print(f"coverage_gate: no .gcda under {build_dir} — "
               "was the build configured with -DSMTAVF_COVERAGE=ON "
@@ -124,7 +144,7 @@ def main(argv):
 
     ok = True
     for prefix, min_percent in gates:
-        ok = gate(prefix, min_percent, line_hits) and ok
+        ok = gate(prefix, min_percent, line_hits, func_calls) and ok
     return 0 if ok else 1
 
 
